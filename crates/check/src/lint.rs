@@ -375,9 +375,26 @@ pub fn run_lint_with(root: &Path, mut allowlist: Allowlist) -> Result<LintReport
     Ok(LintReport { violations, files_scanned: files.len() })
 }
 
-/// Recursively collects workspace `.rs` files, skipping build output,
-/// VCS internals, and the offline shims (third-party API stand-ins are
-/// not ours to lint).
+/// True for a directory below the workspace root that holds no
+/// workspace source: build output (`target/`, the benchmark's
+/// `.bench_build/`), VCS internals, run results, the offline shims
+/// (third-party API stand-ins are not ours to analyze), and any nested
+/// Cargo workspace — a subdirectory whose `Cargo.toml` declares
+/// `[workspace]` builds on its own and is not part of this one.
+pub(crate) fn is_foreign_dir(path: &Path) -> bool {
+    let Some(name) = path.file_name().map(|n| n.to_string_lossy()) else { return false };
+    if matches!(name.as_ref(), "target" | ".git" | "results" | ".bench_build") {
+        return true;
+    }
+    if name == "shims" && path.parent().is_some_and(|p| p.ends_with("crates")) {
+        return true;
+    }
+    std::fs::read_to_string(path.join("Cargo.toml"))
+        .is_ok_and(|manifest| manifest.lines().any(|l| l.trim() == "[workspace]"))
+}
+
+/// Recursively collects workspace `.rs` files, skipping every
+/// [`is_foreign_dir`].
 fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
     let entries = std::fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     for entry in entries {
@@ -386,10 +403,7 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> Result<(
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if name == "target" || name == ".git" || name == "results" {
-                continue;
-            }
-            if name == "shims" && path.parent().is_some_and(|p| p.ends_with("crates")) {
+            if is_foreign_dir(&path) {
                 continue;
             }
             collect_rs_files(root, &path, out)?;

@@ -146,6 +146,7 @@ const GUARD_HELPERS: &[(&str, &str, &str)] = &[
     ("lock_shards_ascending", "gtm_shard", "Gtm"),
     ("lock_shard_for", "gtm_shard", "Gtm"),
     ("lock_flush_fences", "flush_fence", ""),
+    ("lock_fence", "flush_fence", ""),
 ];
 
 /// Last-resort receiver typing by the workspace's stable field/binding
@@ -483,6 +484,12 @@ impl<'a> Analyzer<'a> {
             let all = self.by_name.get(name).cloned().unwrap_or_default();
             return if all.len() == 1 { all } else { Vec::new() };
         }
+        // A local closure shadows every workspace fn of its name; its
+        // body is already part of the caller's own events.
+        let (_, f) = fn_of(self.files, self.fns[caller]);
+        if f.body.iter().any(|e| matches!(e, Event::ClosureBind { name: c, .. } if c == name)) {
+            return Vec::new();
+        }
         // Free call: prefer free functions, fall back to any.
         let all = self.by_name.get(name).cloned().unwrap_or_default();
         let free: Vec<usize> = all
@@ -814,7 +821,7 @@ pub fn analyze(files: &[SourceFile], allow: &mut Allowlist) -> LockgraphReport {
                         g.depth = *let_depth;
                     }
                 }
-                Event::ForBind { .. } | Event::Atomic { .. } => {}
+                Event::ForBind { .. } | Event::ClosureBind { .. } | Event::Atomic { .. } => {}
             }
         }
     }
@@ -947,6 +954,7 @@ fn audit_atomics(files: &[SourceFile], violations: &mut Vec<LgViolation>) {
                     | Event::Call { line, .. }
                     | Event::DropVar { line, .. }
                     | Event::ForBind { line, .. }
+                    | Event::ClosureBind { line, .. }
                     | Event::Atomic { line, .. } => *line,
                     Event::Rebind { .. } => 0,
                 })

@@ -359,6 +359,15 @@ pub enum Event {
         /// 1-based line.
         line: usize,
     },
+    /// `let NAME = |…|` / `let NAME = move |…|` — a local closure. Its
+    /// body's events are already inline in the enclosing function, so a
+    /// later `NAME(…)` call names the closure, not a workspace fn.
+    ClosureBind {
+        /// The closure's binding.
+        name: String,
+        /// 1-based line.
+        line: usize,
+    },
     /// `Ordering::<X>` atomic-ordering mention.
     Atomic {
         /// The ordering variant (`Relaxed`, `Acquire`, …).
@@ -775,6 +784,16 @@ fn parse_body(toks: &[Tok], open: usize) -> (Vec<Event>, usize) {
                                 }
                             }
                             if toks.get(k).map(|e| e.ch) == Some('=') {
+                                let mut v = k + 1;
+                                if toks.get(v).is_some_and(|e| e.text == "move") {
+                                    v += 1;
+                                }
+                                if toks.get(v).map(|e| e.ch) == Some('|') {
+                                    ev.push(Event::ClosureBind {
+                                        name: name.clone(),
+                                        line: t.line,
+                                    });
+                                }
                                 lets.push(LetCtx {
                                     name,
                                     depth,
@@ -1050,8 +1069,8 @@ fn receiver_chain(toks: &[Tok], dot: usize) -> (Option<String>, bool) {
 // ---------------------------------------------------------------------
 
 /// Collects and parses every workspace `.rs` file (same skip rules as
-/// the lint: `target/`, `.git/`, `results/`, the offline shims, plus
-/// integration-test directories — test code may lock freely).
+/// the lint, `crate::lint::is_foreign_dir`, plus integration-test
+/// directories — test code may lock freely).
 pub fn collect_workspace(root: &Path) -> Result<Vec<SourceFile>, String> {
     let mut paths = Vec::new();
     collect_rs(root, root, &mut paths)?;
@@ -1074,10 +1093,7 @@ fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), Str
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if matches!(name.as_ref(), "target" | ".git" | "results" | "tests") {
-                continue;
-            }
-            if name == "shims" && path.parent().is_some_and(|p| p.ends_with("crates")) {
+            if name == "tests" || crate::lint::is_foreign_dir(&path) {
                 continue;
             }
             collect_rs(root, &path, out)?;

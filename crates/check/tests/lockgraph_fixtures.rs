@@ -86,6 +86,52 @@ fn multi_shard_outside_helper_is_caught_and_helper_is_exempt() {
 }
 
 #[test]
+fn local_closure_shadows_a_free_fn_of_the_same_name() {
+    // `check` is both a free fn taking a second shard and a closure
+    // local to `awake`. Under the guard, `awake` calls its closure, so
+    // no second shard is taken; the seed calls the free fn instead.
+    let free_check = r#"
+        impl Front {
+            fn stats(&self) {
+                let s = self.inner.shards[1].lock();
+                drop(s);
+            }
+        }
+        fn check(front: &Front) {
+            front.stats();
+        }
+        "#;
+    let clean = r#"
+        impl Front {
+            fn awake(&self) {
+                let g = self.inner.shards[0].lock();
+                let check = |n: u64| -> bool { n > 1 };
+                check(2);
+                drop(g);
+            }
+        }
+        "#;
+    let report =
+        run(&[("crates/front/src/lib.rs", clean), ("crates/front/src/gate.rs", free_check)]);
+    assert!(report.is_clean(), "closure call resolved to the free fn: {:?}", report.violations);
+
+    let seed = r#"
+        impl Front {
+            fn awake(&self) {
+                let g = self.inner.shards[0].lock();
+                check(self);
+                drop(g);
+            }
+        }
+        "#;
+    let report =
+        run(&[("crates/front/src/lib.rs", seed), ("crates/front/src/gate.rs", free_check)]);
+    let hits = of_rule(&report, LgRule::MultiShard);
+    assert_eq!(hits.len(), 1, "exactly the seeded free call: {:?}", report.violations);
+    assert_eq!(hits[0].0, 5, "anchored at the call made while holding");
+}
+
+#[test]
 fn guard_across_flush_is_caught_through_a_call_edge() {
     // The flush sits two call hops away from the guard holder; the
     // violation must carry the whole chain as its witness.

@@ -15,12 +15,16 @@
 //! uniform and Zipfian key distributions, with sleep/awake churn mixed
 //! in: sessions disconnect mid-program and reconnect before committing,
 //! exercising the paper's Algorithm 8/9 path on both fronts.
+//!
+//! Each shape also runs with group commit on: the blocking front leads
+//! its own station round per commit, while the reactor parks commits
+//! and fuses them in flush passes — different grouping, same outcome.
 
 use pstm_check::{verify_streams, TraceStream};
 use pstm_core::gtm::CommitResult;
 use pstm_front::reactor::{Fate, ProgramStep, Reactor, ReactorConfig};
 use pstm_front::{AwakeOutcome, FrontConfig, SessionOutcome, ShardedFront};
-use pstm_obs::{RingHandle, RingSink, Tracer};
+use pstm_obs::{Ctr, RingHandle, RingSink, Tracer};
 use pstm_types::{ResourceId, ScalarOp, TxnId, Value};
 use pstm_workload::counter_world;
 use std::collections::BTreeMap;
@@ -190,10 +194,9 @@ fn render_ledger(ledger: &BTreeMap<TxnId, Fate>) -> String {
 }
 
 /// Full differential run for one workload shape.
-fn assert_equivalent(seed: u64, zipfian: bool, sleep_every: usize) {
-    let blocking_config = FrontConfig { shards: SHARDS, ..FrontConfig::default() };
-    let reactor_config =
-        FrontConfig { shards: SHARDS, parked_waits: true, ..FrontConfig::default() };
+fn assert_equivalent(seed: u64, zipfian: bool, sleep_every: usize, group_commit: bool) {
+    let blocking_config = FrontConfig { shards: SHARDS, group_commit, ..FrontConfig::default() };
+    let reactor_config = FrontConfig { parked_waits: true, ..blocking_config };
 
     let (bf, br, b_rings) = traced_front(blocking_config);
     let (rf, rr, r_rings) = traced_front(reactor_config);
@@ -237,6 +240,11 @@ fn assert_equivalent(seed: u64, zipfian: bool, sleep_every: usize) {
         );
     }
 
+    if group_commit {
+        let groups = rf.fleet_snapshot().registry.counter(Ctr::GroupCommits);
+        assert!(groups > 0, "no commit went through a reactor flush pass (seed {seed})");
+    }
+
     // 3. Both trace sets certified serializable, independently.
     bf.check_invariants().expect("blocking invariants");
     rf.check_invariants().expect("reactor invariants");
@@ -246,20 +254,40 @@ fn assert_equivalent(seed: u64, zipfian: bool, sleep_every: usize) {
 
 #[test]
 fn uniform_workload_is_equivalent_across_fronts() {
-    assert_equivalent(0x5EED_0001, false, 0);
+    assert_equivalent(0x5EED_0001, false, 0, false);
 }
 
 #[test]
 fn uniform_workload_with_sleep_churn_is_equivalent() {
-    assert_equivalent(0x5EED_0002, false, 3);
+    assert_equivalent(0x5EED_0002, false, 3, false);
 }
 
 #[test]
 fn zipfian_workload_is_equivalent_across_fronts() {
-    assert_equivalent(0x5EED_0003, true, 0);
+    assert_equivalent(0x5EED_0003, true, 0, false);
 }
 
 #[test]
 fn zipfian_workload_with_sleep_churn_is_equivalent() {
-    assert_equivalent(0x5EED_0004, true, 4);
+    assert_equivalent(0x5EED_0004, true, 4, false);
+}
+
+#[test]
+fn uniform_workload_with_group_commit_is_equivalent() {
+    assert_equivalent(0x5EED_0005, false, 0, true);
+}
+
+#[test]
+fn uniform_workload_with_sleep_churn_and_group_commit_is_equivalent() {
+    assert_equivalent(0x5EED_0006, false, 3, true);
+}
+
+#[test]
+fn zipfian_workload_with_group_commit_is_equivalent() {
+    assert_equivalent(0x5EED_0007, true, 0, true);
+}
+
+#[test]
+fn zipfian_workload_with_sleep_churn_and_group_commit_is_equivalent() {
+    assert_equivalent(0x5EED_0008, true, 4, true);
 }

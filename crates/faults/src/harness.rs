@@ -363,37 +363,22 @@ impl Chaos {
             extra.push(d - self.acked[r]);
         }
         let in_flight = if after_crash { self.in_flight.take() } else { None };
-        match in_flight {
-            Some(w) => {
-                let none_survived = extra.iter().all(|&e| e == 0);
-                let whole_sst_survived =
-                    (0..self.config.resources).all(|r| extra[r] == w.get(&r).copied().unwrap_or(0));
-                if none_survived {
-                    // Invariant 2, absent case: the crash discarded the
-                    // commit entirely. The session stays "lost".
-                } else if whole_sst_survived {
-                    // Invariant 2, applied case: the fused SST outlived
-                    // the crash whole. Fold it into the ledger so every
-                    // later epoch re-proves it is never applied twice.
+        match recovered_in_flight(&extra, in_flight.as_ref()) {
+            // Invariant 2, absent case: the crash discarded the commit
+            // entirely. The session stays "lost".
+            Ok(false) => {}
+            Ok(true) => {
+                // Invariant 2, applied case: the fused SST outlived the
+                // crash whole. Fold it into the ledger so every later
+                // epoch re-proves it is never applied twice.
+                if let Some(w) = in_flight {
                     for (r, subs) in &w {
                         self.acked[*r] += subs;
                     }
                     self.in_flight = Some(w); // signal "applied" to caller
-                } else {
-                    self.violations.push(format!(
-                        "partial SST visible after recovery: intents {w:?}, unexplained deltas \
-                         {extra:?} (invariant 2)"
-                    ));
                 }
             }
-            None => {
-                if extra.iter().any(|&e| e != 0) {
-                    self.violations.push(format!(
-                        "ledger mismatch with no commit in flight: unexplained deltas {extra:?} \
-                         (invariant 1: acked commits lost or applied twice)"
-                    ));
-                }
-            }
+            Err(violation) => self.violations.push(violation),
         }
         Ok(())
     }
@@ -622,6 +607,38 @@ impl Chaos {
             remaining = deferred;
         }
         Ok(())
+    }
+}
+
+/// The recovery invariants over a counter world after a crash. `extra`
+/// holds each resource's applied delta beyond its acknowledged commits;
+/// `intents` the planned per-resource deltas of the commit (or fused
+/// group) in flight at the crash, if any. `Ok(false)`: nothing of it
+/// survived; `Ok(true)`: its SST survived whole, so each write is
+/// visible exactly once. `Err` names the broken invariant: a partial SST
+/// (2), or unexplained deltas with nothing in flight (1).
+pub fn recovered_in_flight(
+    extra: &[i64],
+    intents: Option<&BTreeMap<usize, i64>>,
+) -> Result<bool, String> {
+    match intents {
+        Some(w) => {
+            if extra.iter().all(|&e| e == 0) {
+                Ok(false)
+            } else if (0..extra.len()).all(|r| extra[r] == w.get(&r).copied().unwrap_or(0)) {
+                Ok(true)
+            } else {
+                Err(format!(
+                    "partial SST visible after recovery: intents {w:?}, unexplained deltas \
+                     {extra:?} (invariant 2)"
+                ))
+            }
+        }
+        None if extra.iter().any(|&e| e != 0) => Err(format!(
+            "ledger mismatch with no commit in flight: unexplained deltas {extra:?} \
+             (invariant 1: acked commits lost or applied twice)"
+        )),
+        None => Ok(false),
     }
 }
 

@@ -31,6 +31,6 @@ pub mod harness;
 pub mod injector;
 pub mod plan;
 
-pub use harness::{run_chaos, ChaosConfig, ChaosReport};
+pub use harness::{recovered_in_flight, run_chaos, ChaosConfig, ChaosReport};
 pub use injector::{FaultInjector, FiredFault};
 pub use plan::{FaultPlan, FaultRule, SiteMatcher, Trigger};

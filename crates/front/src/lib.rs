@@ -58,7 +58,9 @@ use pstm_core::gtm::{CommitResult, Gtm, GtmConfig, GtmStats, LocalCommit};
 use pstm_core::sst::Sst;
 use pstm_obs::prof::{self, CommitPhase};
 use pstm_obs::wallclock::WallAnchor;
-use pstm_obs::{expo, MetricsRegistry, Recorder, RecorderStats, SpanKind, TraceEvent, Tracer};
+use pstm_obs::{
+    expo, MetricsRegistry, ReactorCensus, Recorder, RecorderStats, SpanKind, TraceEvent, Tracer,
+};
 use pstm_storage::{BindingRegistry, Database};
 use pstm_types::{
     AbortReason, Duration, ExecOutcome, FaultDecision, FaultSite, PstmError, PstmResult,
@@ -200,6 +202,10 @@ enum Signal {
     /// The transaction was aborted while waiting (deadlock victim, wait
     /// timeout, or released by an incompatible commit).
     Aborted(AbortReason),
+    /// A reactor-parked commit was settled by a group-commit leader
+    /// round; carries its outcome (reactor mode only — blocking
+    /// committers learn theirs through a [`CommitSlot`]).
+    Settled(PstmResult<CommitResult>),
 }
 
 /// Result of a blocking [`Session`] operation.
@@ -258,6 +264,10 @@ pub struct FleetSnapshot {
     /// attached ([`ShardedFront::attach_recorder`]); `None` when the
     /// fleet flies dark. Rendered as `pstm_recorder_*` series.
     pub recorder: Option<RecorderStats>,
+    /// The attached reactor's session census at snapshot time (`None`
+    /// without a reactor). With a recorder attached it is recorded with
+    /// the snapshot, so a post-mortem sees e.g. commits left parked.
+    pub reactor: Option<ReactorCensus>,
 }
 
 impl FleetSnapshot {
@@ -272,6 +282,12 @@ impl FleetSnapshot {
 /// until a leader settles the transaction, then its commit outcome (or
 /// the leader's error, e.g. a simulated crash mid-group).
 type CommitSlot = Arc<Mutex<Option<PstmResult<CommitResult>>>>;
+
+/// One committer queued at a group-commit station, with where its
+/// outcome goes: a blocking committer's [`CommitSlot`], or `None` for a
+/// reactor-parked session, whose outcome the leader round hands back to
+/// its caller for routing to the owning worker.
+type StationEntry = (TxnId, Option<CommitSlot>);
 
 struct FrontInner {
     db: Arc<Database>,
@@ -291,7 +307,7 @@ struct FrontInner {
     /// Per-shard group-commit queues (only used when
     /// [`FrontConfig::group_commit`] is on): FIFO of committers waiting
     /// for a leader to fuse and flush them.
-    groups: Vec<Mutex<VecDeque<(TxnId, CommitSlot)>>>,
+    groups: Vec<Mutex<VecDeque<StationEntry>>>,
     /// Per-shard flush fences: one level *above* the shard mutexes in the
     /// lock order (fences ascending, then shard locks ascending; no path
     /// acquires a fence while holding any shard). Every reconciliation
@@ -531,11 +547,13 @@ impl ShardedFront {
         // black-box heartbeat: the merged counters and phase profile go
         // into the ring as a delta record, so a post-mortem can replay
         // the metrics timeline up to the crash.
+        let sink = self.inner.wake.lock().clone();
+        let reactor = sink.map(|sink| sink.census());
         let recorder = self.inner.recorder.lock().as_ref().map(|rec| {
-            rec.snapshot_delta(self.now(), &registry, &prof::snapshot());
+            rec.snapshot_delta(self.now(), &registry, &prof::snapshot(), reactor);
             rec.stats()
         });
-        FleetSnapshot { registry, per_shard, trace_dropped, recorder }
+        FleetSnapshot { registry, per_shard, trace_dropped, recorder, reactor }
     }
 
     /// Per-shard stats, shard order.
@@ -616,6 +634,229 @@ impl ShardedFront {
             "fence lock order must be strictly ascending, got {indices:?}"
         );
         indices.iter().map(|&s| self.inner.flush_fences[s].lock()).collect()
+    }
+
+    /// Acquires one shard's flush fence for a group-commit leader round
+    /// ([`ShardedFront::lead_group_round`]).
+    fn lock_fence(&self, shard: usize) -> MutexGuard<'_, ()> {
+        let _adm = prof::PhaseTimer::start(CommitPhase::Admission);
+        self.inner.flush_fences[shard].lock()
+    }
+
+    /// Emits `event` into shard `shard`'s tracer.
+    fn emit_shard(&self, shard: usize, event: TraceEvent) {
+        self.inner.tracers[shard].emit(self.now(), event);
+    }
+
+    /// One leader round at `shard`'s group-commit station — the only
+    /// implementation, shared by the blocking station loop
+    /// ([`Session::commit`]) and the reactor's flush pass. The caller
+    /// holds the shard's flush fence (`_fence`) across the whole round.
+    ///
+    /// Drains a wave (FIFO, at most [`FrontConfig::max_group`]) and
+    /// flushes it: reconcile under the shard mutex
+    /// ([`Gtm::commit_group_local`]), one fused SST with the mutex
+    /// released — the fence alone guards permanent state while the
+    /// device round-trip is paid, so concurrent sessions keep executing
+    /// and pile onto the queue for the next wave — then settle back
+    /// under the mutex ([`Gtm::commit_group_finish`]). Members the
+    /// greedy cut defers (write estimate overlapping the batch) return
+    /// to the queue front in their original order, unsettled.
+    ///
+    /// Blocking members learn their outcome through their slots; the
+    /// reactor members' outcomes are returned, wave order. `None` when
+    /// the station had no wave to flush.
+    pub(crate) fn lead_group_round(
+        &self,
+        shard: usize,
+        _fence: &MutexGuard<'_, ()>,
+    ) -> Option<Vec<(TxnId, PstmResult<CommitResult>)>> {
+        let wave: Vec<StationEntry> = {
+            let mut queue = self.inner.groups[shard].lock();
+            let take = queue.len().min(self.inner.config.max_group.max(1));
+            queue.drain(..take).collect()
+        };
+        if wave.is_empty() {
+            return None;
+        }
+        let outcome = self.flush_wave(shard, &wave);
+        let mut parked = Vec::new();
+        for (txn, slot) in &wave {
+            let result = match &outcome {
+                Ok(settled) => match settled.iter().find(|(member, _)| member == txn) {
+                    Some((_, result)) => Ok(result.clone()),
+                    // Deferred: back on the queue for a later round.
+                    None => continue,
+                },
+                // A leader-level failure dooms the whole wave: every
+                // member learns the error, the caller recovers the engine.
+                Err(err) => Err(err.clone()),
+            };
+            match slot {
+                Some(slot) => *slot.lock() = Some(result),
+                None => parked.push((*txn, result)),
+            }
+        }
+        Some(parked)
+    }
+
+    /// The body of [`ShardedFront::lead_group_round`]: reconciles,
+    /// flushes and settles one wave, returning every settled member's
+    /// outcome, or the error that doomed the wave.
+    fn flush_wave(
+        &self,
+        shard: usize,
+        wave: &[StationEntry],
+    ) -> PstmResult<Vec<(TxnId, CommitResult)>> {
+        // Labeled fault seam: the wave is chosen, nothing reconciled or
+        // flushed yet. A crash here kills the process with every wave
+        // member still Active — recovery must show none of them.
+        if !matches!(self.fault_decision(FaultSite::PreSst), FaultDecision::Proceed) {
+            self.emit_shard(
+                shard,
+                TraceEvent::FaultInjected {
+                    site: FaultSite::PreSst.label(),
+                    action: "crash".into(),
+                },
+            );
+            return Err(PstmError::Crashed(FaultSite::PreSst.label()));
+        }
+        let txns: Vec<TxnId> = wave.iter().map(|(txn, _)| *txn).collect();
+
+        // Reconcile-and-park half, under the shard mutex — brief.
+        let mut local = {
+            let mut guards = {
+                let _adm = prof::PhaseTimer::start(CommitPhase::Admission);
+                self.lock_shards_ascending(&[shard])
+            };
+            let now = self.now();
+            guards[0].commit_group_local(&txns, now)?
+        };
+        self.deposit(&local.effects);
+        // Deferred members overlap the batch about to flush; their
+        // reconciliation must read post-flush permanent state. Back to
+        // the queue front, original order, for the next round.
+        if !local.deferred.is_empty() {
+            let mut queue = self.inner.groups[shard].lock();
+            for txn in local.deferred.iter().rev() {
+                if let Some(entry) = wave.iter().find(|(member, _)| member == txn) {
+                    queue.push_front(entry.clone());
+                }
+            }
+        }
+        let mut settled = std::mem::take(&mut local.settled);
+        // Batch-rejected members (the write estimate lied): their solo
+        // flushes run out here too — shard unlocked, fence held.
+        let overflow: Vec<(Sst, PstmResult<()>)> = std::mem::take(&mut local.overflow)
+            .into_iter()
+            .map(|sst| {
+                let flush = self.solo_flush(shard, &sst);
+                (sst, flush)
+            })
+            .collect();
+        let Some(batch) = local.batch.take() else {
+            // Overflow implies a batch existed to reject from.
+            debug_assert!(overflow.is_empty());
+            return Ok(settled);
+        };
+        // The fused flush, outside the shard mutex: the fence alone
+        // guards permanent state while the device round-trip is paid.
+        // Transient (I/O) failures retry per the shared config in real
+        // wall time.
+        let config = self.inner.config.gtm;
+        let mut flush = batch.execute(&self.inner.db, &self.inner.bindings);
+        let mut attempts = 0;
+        while attempts < config.sst_retries && matches!(flush, Err(PstmError::Io(_))) {
+            attempts += 1;
+            self.pause_retry(config.sst_retry_delay);
+            self.emit_shard(shard, TraceEvent::SstRetry { txn: batch.leader, attempt: attempts });
+            flush = batch.execute(&self.inner.db, &self.inner.bindings);
+        }
+        // Labeled fault seam: the fused SST is durable but no member has
+        // learned the outcome — the window where the group's commit
+        // decision lives only in the log. A crash here must leave every
+        // member's write set visible exactly once after recovery.
+        if flush.is_ok()
+            && !matches!(self.fault_decision(FaultSite::PreFinish), FaultDecision::Proceed)
+        {
+            self.emit_shard(
+                shard,
+                TraceEvent::FaultInjected {
+                    site: FaultSite::PreFinish.label(),
+                    action: "crash".into(),
+                },
+            );
+            return Err(PstmError::Crashed(FaultSite::PreFinish.label()));
+        }
+        // Settlement half, back under the shard mutex. A crashed flush
+        // propagates untouched: the simulated process is dead and the
+        // members' parked state dies with it.
+        let mut guards = {
+            let _adm = prof::PhaseTimer::start(CommitPhase::Admission);
+            self.lock_shards_ascending(&[shard])
+        };
+        let now = self.now();
+        let mut fin = guards[0].commit_group_finish(batch, flush, now)?;
+        settled.append(&mut fin.settled);
+        let mut fx = fin.effects;
+        for (sst, solo) in overflow {
+            let (result, e) = guards[0].commit_solo_finish(&sst, solo, now)?;
+            fx.merge(e);
+            settled.push((sst.origin, result));
+        }
+        if !fin.reflush.is_empty() {
+            // Per-member unwind of a constraint violation: each solo
+            // flush pays its device round-trip with the shard unlocked,
+            // then settles under a fresh guard so only the violators
+            // abort.
+            drop(guards);
+            let solos: Vec<(Sst, PstmResult<()>)> = std::mem::take(&mut fin.reflush)
+                .into_iter()
+                .map(|sst| {
+                    let flush = self.solo_flush(shard, &sst);
+                    (sst, flush)
+                })
+                .collect();
+            let mut guards = {
+                let _adm = prof::PhaseTimer::start(CommitPhase::Admission);
+                self.lock_shards_ascending(&[shard])
+            };
+            let now = self.now();
+            for (sst, solo) in solos {
+                let (result, e) = guards[0].commit_solo_finish(&sst, solo, now)?;
+                fx.merge(e);
+                settled.push((sst.origin, result));
+            }
+        }
+        self.deposit(&fx);
+        Ok(settled)
+    }
+
+    /// One solo SST flush with the configured retries, for members owed
+    /// an individual device round-trip (batch overflow, per-member
+    /// reflush after a constraint violation). Must run with the shard
+    /// mutex released — the fence alone guards permanent state.
+    fn solo_flush(&self, shard: usize, sst: &Sst) -> PstmResult<()> {
+        let config = self.inner.config.gtm;
+        let mut flush = sst.execute(&self.inner.db, &self.inner.bindings);
+        let mut attempts = 0;
+        while attempts < config.sst_retries && matches!(flush, Err(PstmError::Io(_))) {
+            attempts += 1;
+            self.pause_retry(config.sst_retry_delay);
+            self.emit_shard(shard, TraceEvent::SstRetry { txn: sst.origin, attempt: attempts });
+            flush = sst.execute(&self.inner.db, &self.inner.bindings);
+        }
+        flush
+    }
+
+    /// Hands a reactor-parked commit's outcome to the worker that owns
+    /// it, through the installed wake sink. Without a sink (the reactor
+    /// is gone) nobody is left to hear it.
+    pub(crate) fn route_settled(&self, txn: TxnId, result: PstmResult<CommitResult>) {
+        let sink = self.inner.wake.lock().clone();
+        if let Some(sink) = sink {
+            sink.route_wake(txn, Signal::Settled(result));
+        }
     }
 
     /// Deposits resume/abort notifications for *other* sessions: to the
@@ -897,6 +1138,12 @@ impl Session {
                 self.finish_aborted(Some(shard))?;
                 Ok(SessionOutcome::Aborted(reason))
             }
+            // A commit outcome never answers a parked execute.
+            Signal::Settled(_) => Err(PstmError::InvalidState {
+                txn: self.id,
+                action: "deliver",
+                state: "settled commit",
+            }),
         }
     }
 
@@ -974,6 +1221,8 @@ impl Session {
     /// `commit_finish`/`commit_abort` per shard. Running one-shard
     /// commits through the same path keeps the SST accounting and the
     /// `commit` span's `reconcile`/`sst_attempt` children uniform.
+    /// With [`FrontConfig::group_commit`] on, a single-shard commit goes
+    /// through its shard's group-commit station instead.
     pub fn commit(&mut self) -> PstmResult<CommitResult> {
         self.ensure_open()?;
         self.finished = true;
@@ -982,27 +1231,71 @@ impl Session {
             // A session that never touched a resource has nothing to do.
             return Ok(CommitResult::Committed);
         }
-        let result = if shards.len() == 1 && self.front.inner.config.group_commit {
-            self.commit_grouped(shards[0])
-        } else {
-            self.commit_across(&shards)
+        let result = match self.group_shard() {
+            Some(shard) => self.commit_grouped(shard),
+            None => self.commit_across(&shards),
         };
         self.clear_mail();
         result
     }
 
+    /// The station a commit of this session groups at: its one touched
+    /// shard, when [`FrontConfig::group_commit`] is on.
+    fn group_shard(&self) -> Option<usize> {
+        match (self.front.inner.config.group_commit, self.begun.len()) {
+            (true, 1) => self.begun.first().copied(),
+            _ => None,
+        }
+    }
+
+    /// The reactor's non-blocking half of a grouped commit: enqueues the
+    /// session at its shard's station and returns the shard without
+    /// waiting for a leader. A flush pass later settles it
+    /// ([`ShardedFront::lead_group_round`]) and
+    /// [`Session::settle_parked_commit`] ends it. `None` when the commit
+    /// does not group — the caller then runs [`Session::commit`] inline.
+    pub(crate) fn park_commit(&mut self) -> PstmResult<Option<usize>> {
+        self.ensure_open()?;
+        let Some(shard) = self.group_shard() else { return Ok(None) };
+        self.finished = true;
+        self.enqueue_commit(shard, None);
+        Ok(Some(shard))
+    }
+
+    /// Ends a commit parked by [`Session::park_commit`] with the outcome
+    /// its leader round produced — same spans and cleanup as the
+    /// blocking station.
+    pub(crate) fn settle_parked_commit(
+        &mut self,
+        result: PstmResult<CommitResult>,
+    ) -> PstmResult<CommitResult> {
+        self.close_grouped_commit(&result);
+        self.clear_mail();
+        result
+    }
+
     /// Single-shard commit through the per-shard group-commit station:
-    /// enqueue, then either a concurrent leader settles this transaction
-    /// (our slot fills while we wait for the shard lock) or we take the
-    /// shard lock ourselves, become the leader, and flush a whole wave of
-    /// queued commits as fused SST batches via [`Gtm::commit_group`].
+    /// enqueue, then wait until a leader round settles this transaction —
+    /// a concurrent leader's, or our own.
     fn commit_grouped(&mut self, shard: usize) -> PstmResult<CommitResult> {
+        let slot: CommitSlot = Arc::new(Mutex::new(None));
+        self.enqueue_commit(shard, Some(Arc::clone(&slot)));
+        let result = self.group_station(shard, &slot);
+        self.close_grouped_commit(&result);
+        result
+    }
+
+    /// Opens the `commit` span and queues this session at `shard`'s
+    /// station.
+    fn enqueue_commit(&mut self, shard: usize, slot: Option<CommitSlot>) {
         self.close_leaf();
         self.open_span(SpanKind::Commit);
-        let slot: CommitSlot = Arc::new(Mutex::new(None));
-        self.front.inner.groups[shard].lock().push_back((self.id, Arc::clone(&slot)));
-        let result = self.group_station(shard, &slot);
-        match &result {
+        self.front.inner.groups[shard].lock().push_back((self.id, slot));
+    }
+
+    /// Closes a grouped commit's spans by its outcome.
+    fn close_grouped_commit(&mut self, result: &PstmResult<CommitResult>) {
+        match result {
             Ok(CommitResult::Committed) => {
                 self.close_span(SpanKind::Commit);
                 self.close_span(SpanKind::Session);
@@ -1015,21 +1308,12 @@ impl Session {
             // (mirrors `commit_across`'s crash path).
             Err(_) => {}
         }
-        result
     }
 
-    /// The station loop. Returns once this session's slot is settled —
-    /// by another leader, or by our own leader round.
-    ///
-    /// A leader round holds the shard's *flush fence* end to end but the
-    /// shard mutex only for the two brief bookkeeping halves
-    /// ([`Gtm::commit_group_local`], [`Gtm::commit_group_finish`]). The
-    /// fused flush itself — the part that pays the device round-trip —
-    /// runs with the shard unlocked, so concurrent sessions keep
-    /// executing against the shard and their commits pile onto the queue
-    /// to fuse into the next wave. Members the greedy cut defers (write
-    /// estimate overlapping the in-flight batch) are re-queued at the
-    /// queue front in their original order.
+    /// The blocking station loop. Returns once this session's slot is
+    /// settled — by another leader, or by a round we lead ourselves
+    /// after winning the fence with the slot still empty. Reactor
+    /// members of our rounds are handed to their workers.
     fn group_station(&mut self, shard: usize, slot: &CommitSlot) -> PstmResult<CommitResult> {
         // Everything from enqueue to settlement is the group-wait
         // station; the leader's nested commit work (reconcile, WAL, SST
@@ -1037,232 +1321,20 @@ impl Session {
         // followers accrue pure wait.
         let _wait = prof::PhaseTimer::start(CommitPhase::GroupWait);
         loop {
-            let _fence = {
-                let _adm = prof::PhaseTimer::start(CommitPhase::Admission);
-                self.front.inner.flush_fences[shard].lock()
-            };
+            let fence = self.front.lock_fence(shard);
+            // Nobody settled us before we won the fence: lead a round.
+            // Our own entry may sit beyond the wave bound or be deferred,
+            // in which case we lead (or follow) another.
+            if slot.lock().is_none() {
+                for (txn, result) in
+                    self.front.lead_group_round(shard, &fence).into_iter().flatten()
+                {
+                    self.front.route_settled(txn, result);
+                }
+            }
+            drop(fence);
             if let Some(result) = slot.lock().take() {
                 return result;
-            }
-            // Nobody settled us before we won the fence: we lead this
-            // round. Drain a wave (FIFO, bounded by `max_group`); our own
-            // entry may sit beyond the bound, in which case the loop
-            // leads another round after this one.
-            let wave: Vec<(TxnId, CommitSlot)> = {
-                let mut queue = self.front.inner.groups[shard].lock();
-                let take = queue.len().min(self.front.inner.config.max_group.max(1));
-                queue.drain(..take).collect()
-            };
-            // Labeled fault seam: the wave is chosen, nothing reconciled
-            // or flushed yet. A crash here kills the process with every
-            // wave member still Active — recovery must show none of them.
-            match self.front.fault_decision(FaultSite::PreSst) {
-                FaultDecision::Proceed => {}
-                _ => {
-                    self.emit_home(TraceEvent::FaultInjected {
-                        site: FaultSite::PreSst.label(),
-                        action: "crash".into(),
-                    });
-                    let err = PstmError::Crashed(FaultSite::PreSst.label());
-                    self.settle_wave_err(&wave, &err);
-                    return Err(err);
-                }
-            }
-            let txns: Vec<TxnId> = wave.iter().map(|(txn, _)| *txn).collect();
-
-            // Reconcile-and-park half, under the shard mutex — brief.
-            let mut local = {
-                let mut guards = {
-                    let _adm = prof::PhaseTimer::start(CommitPhase::Admission);
-                    self.front.lock_shards_ascending(&[shard])
-                };
-                let now = self.front.now();
-                match guards[0].commit_group_local(&txns, now) {
-                    Ok(local) => local,
-                    Err(err) => {
-                        // A leader-level failure dooms the whole wave:
-                        // every member learns the error, the caller
-                        // recovers the engine.
-                        drop(guards);
-                        self.settle_wave_err(&wave, &err);
-                        return Err(err);
-                    }
-                }
-            };
-            self.front.deposit(&local.effects);
-            // Deferred members overlap the batch about to flush; their
-            // reconciliation must read post-flush permanent state. Back
-            // to the queue front, original order, for the next round.
-            if !local.deferred.is_empty() {
-                let mut queue = self.front.inner.groups[shard].lock();
-                for txn in local.deferred.iter().rev() {
-                    if let Some(entry) = wave.iter().find(|(member, _)| member == txn) {
-                        queue.push_front(entry.clone());
-                    }
-                }
-            }
-            // Batch-rejected members (the write estimate lied): their
-            // solo flushes run out here too — shard unlocked, fence held.
-            let overflow: Vec<(Sst, PstmResult<()>)> = std::mem::take(&mut local.overflow)
-                .into_iter()
-                .map(|sst| {
-                    let flush = self.solo_flush(&sst);
-                    (sst, flush)
-                })
-                .collect();
-            let (settled, fx) = match local.batch.take() {
-                Some(batch) => {
-                    // The fused flush, outside the shard mutex: the fence
-                    // alone guards permanent state while the device
-                    // round-trip is paid. Transient (I/O) failures retry
-                    // per the shared config in real wall time.
-                    let config = self.front.inner.config.gtm;
-                    let mut flush = batch.execute(&self.front.inner.db, &self.front.inner.bindings);
-                    let mut attempts = 0;
-                    while attempts < config.sst_retries && matches!(flush, Err(PstmError::Io(_))) {
-                        attempts += 1;
-                        self.front.pause_retry(config.sst_retry_delay);
-                        self.emit_home(TraceEvent::SstRetry {
-                            txn: batch.leader,
-                            attempt: attempts,
-                        });
-                        flush = batch.execute(&self.front.inner.db, &self.front.inner.bindings);
-                    }
-                    if flush.is_ok() {
-                        // Labeled fault seam: the fused SST is durable
-                        // but no member has learned the outcome — the
-                        // window where the group's commit decision lives
-                        // only in the log. A crash here must leave every
-                        // member's write set visible exactly once after
-                        // recovery.
-                        match self.front.fault_decision(FaultSite::PreFinish) {
-                            FaultDecision::Proceed => {}
-                            _ => {
-                                self.emit_home(TraceEvent::FaultInjected {
-                                    site: FaultSite::PreFinish.label(),
-                                    action: "crash".into(),
-                                });
-                                let err = PstmError::Crashed(FaultSite::PreFinish.label());
-                                self.settle_wave_err(&wave, &err);
-                                return Err(err);
-                            }
-                        }
-                    }
-                    // Settlement half, back under the shard mutex. A
-                    // crashed flush propagates untouched: the simulated
-                    // process is dead and the members' parked state dies
-                    // with it.
-                    let mut guards = {
-                        let _adm = prof::PhaseTimer::start(CommitPhase::Admission);
-                        self.front.lock_shards_ascending(&[shard])
-                    };
-                    let now = self.front.now();
-                    let mut fin = match guards[0].commit_group_finish(batch, flush, now) {
-                        Ok(fin) => fin,
-                        Err(err) => {
-                            drop(guards);
-                            self.settle_wave_err(&wave, &err);
-                            return Err(err);
-                        }
-                    };
-                    let mut settled = std::mem::take(&mut fin.settled);
-                    let reflush = std::mem::take(&mut fin.reflush);
-                    let mut fx = fin.effects;
-                    for (sst, solo) in overflow {
-                        match guards[0].commit_solo_finish(&sst, solo, now) {
-                            Ok((r, e)) => {
-                                fx.merge(e);
-                                settled.push((sst.origin, r));
-                            }
-                            Err(err) => {
-                                drop(guards);
-                                self.settle_wave_err(&wave, &err);
-                                return Err(err);
-                            }
-                        }
-                    }
-                    if !reflush.is_empty() {
-                        // Per-member unwind of a constraint violation:
-                        // each solo flush pays its device round-trip with
-                        // the shard unlocked, then settles under a fresh
-                        // guard so only the violators abort.
-                        drop(guards);
-                        let solos: Vec<(Sst, PstmResult<()>)> = reflush
-                            .into_iter()
-                            .map(|sst| {
-                                let flush = self.solo_flush(&sst);
-                                (sst, flush)
-                            })
-                            .collect();
-                        let mut guards = {
-                            let _adm = prof::PhaseTimer::start(CommitPhase::Admission);
-                            self.front.lock_shards_ascending(&[shard])
-                        };
-                        let now = self.front.now();
-                        for (sst, solo) in solos {
-                            match guards[0].commit_solo_finish(&sst, solo, now) {
-                                Ok((r, e)) => {
-                                    fx.merge(e);
-                                    settled.push((sst.origin, r));
-                                }
-                                Err(err) => {
-                                    drop(guards);
-                                    self.settle_wave_err(&wave, &err);
-                                    return Err(err);
-                                }
-                            }
-                        }
-                    }
-                    (settled, fx)
-                }
-                None => {
-                    // Overflow implies a batch existed to reject from.
-                    debug_assert!(overflow.is_empty());
-                    (Vec::new(), StepEffects::none())
-                }
-            };
-            self.front.deposit(&fx);
-            let mut own = None;
-            for (txn, result) in local.settled.into_iter().chain(settled) {
-                if txn == self.id {
-                    own = Some(result);
-                } else if let Some((_, member_slot)) =
-                    wave.iter().find(|(member, _)| *member == txn)
-                {
-                    *member_slot.lock() = Some(Ok(result));
-                }
-            }
-            if let Some(result) = own {
-                return Ok(result);
-            }
-            // Our entry was beyond the wave bound or deferred: lead (or
-            // follow) another round.
-        }
-    }
-
-    /// One solo SST flush with the configured retries, for members owed
-    /// an individual device round-trip (batch overflow, per-member
-    /// reflush after a constraint violation). Must run with the shard
-    /// mutex released — the fence alone guards permanent state.
-    fn solo_flush(&self, sst: &Sst) -> PstmResult<()> {
-        let config = self.front.inner.config.gtm;
-        let mut flush = sst.execute(&self.front.inner.db, &self.front.inner.bindings);
-        let mut attempts = 0;
-        while attempts < config.sst_retries && matches!(flush, Err(PstmError::Io(_))) {
-            attempts += 1;
-            self.front.pause_retry(config.sst_retry_delay);
-            self.emit_home(TraceEvent::SstRetry { txn: sst.origin, attempt: attempts });
-            flush = sst.execute(&self.front.inner.db, &self.front.inner.bindings);
-        }
-        flush
-    }
-
-    /// Posts `err` into every wave member's slot except this session's
-    /// own — the leader's error return carries its own copy.
-    fn settle_wave_err(&self, wave: &[(TxnId, CommitSlot)], err: &PstmError) {
-        for (txn, member_slot) in wave {
-            if *txn != self.id {
-                *member_slot.lock() = Some(Err(err.clone()));
             }
         }
     }

@@ -13,14 +13,23 @@
 //! routes through the installed [`WakeSink`] straight onto the owner
 //! worker's queue instead of a mailbox the waiter must poll.
 //!
+//! With group commit on, a single-shard commit does not block its
+//! worker on the group station: the core parks as `Committing` at its
+//! shard's station and the worker keeps serving its queue. The worker
+//! runs a *flush pass* — one [`ShardedFront::lead_group_round`] per
+//! station it has commits parked on — when its queue runs dry, or when
+//! the oldest parked commit has waited as long as the median of its
+//! last 16 passes, so commits arriving while a pass pays the device
+//! round-trip fuse into the next wave.
+//!
 //! Two drivers share the same per-worker state machine
-//! (`WorkerState::handle`):
+//! (`WorkerState::handle` / `fire_due` / `flush_pass`):
 //!
 //! - [`Reactor`] — one OS thread per worker, parked on `recv_timeout`
 //!   bounded by the wheel's next deadline. No polling anywhere: an idle
 //!   worker sleeps in the channel until a message or timer arrives.
 //! - [`det::DetReactor`] — a single-threaded, seeded driver that picks
-//!   the next non-empty queue pseudo-randomly and advances a virtual
+//!   the next worker with work pseudo-randomly and advances a virtual
 //!   clock, exploring interleavings reproducibly for property tests.
 //!
 //! Equivalence with the blocking front is not assumed, it is proven:
@@ -33,12 +42,13 @@ use crate::timer::TimerWheel;
 use crate::{AwakeOutcome, FrontInner, Session, SessionOutcome, ShardedFront, Signal, TryExec};
 use parking_lot::Mutex;
 use pstm_core::gtm::CommitResult;
+use pstm_obs::prof::{self, CommitPhase};
 use pstm_obs::reactor::wake_latency_histogram;
 use pstm_obs::{Histogram, ReactorCensus, ReactorSnapshot, SpanKind, TraceEvent};
 use pstm_types::{AbortReason, PstmError, PstmResult, ResourceId, ScalarOp, Timestamp, TxnId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Weak};
 
 /// Where the front-end's `deposit` hands resume/abort signals once a
@@ -47,6 +57,8 @@ use std::sync::{Arc, Weak};
 pub(crate) trait WakeSink: Send + Sync {
     /// Routes one signal to the session that owns `txn`.
     fn route_wake(&self, txn: TxnId, signal: Signal);
+    /// The reactor's session census.
+    fn census(&self) -> ReactorCensus;
 }
 
 /// Reactor pool configuration.
@@ -171,6 +183,10 @@ enum CorePhase {
     /// Parked behind incompatible work on `shard`; a routed signal
     /// resumes or aborts it.
     Waiting(usize),
+    /// A single-shard commit queued at `shard`'s group-commit station;
+    /// a flush pass (this worker's, or a routed `Settled` from another
+    /// leader) settles it.
+    Committing(usize),
     /// Disconnected. No queue slot, no worker time; at most one
     /// timer-wheel entry (program mode) points back at it.
     Sleeping,
@@ -260,6 +276,7 @@ struct Shared {
     depth: Vec<AtomicU64>,
     running: AtomicU64,
     waiting: AtomicU64,
+    committing: AtomicU64,
     sleeping: AtomicU64,
     finished: AtomicU64,
     /// Wakes dropped because the addressee was not waiting (benign —
@@ -276,6 +293,7 @@ impl Shared {
             depth: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             running: AtomicU64::new(0),
             waiting: AtomicU64::new(0),
+            committing: AtomicU64::new(0),
             sleeping: AtomicU64::new(0),
             finished: AtomicU64::new(0),
             stale: AtomicU64::new(0),
@@ -289,6 +307,7 @@ impl Shared {
         match phase {
             CorePhase::Running => &self.running,
             CorePhase::Waiting(_) => &self.waiting,
+            CorePhase::Committing(_) => &self.committing,
             CorePhase::Sleeping => &self.sleeping,
             CorePhase::Finished => &self.finished,
         }
@@ -298,6 +317,7 @@ impl Shared {
         ReactorCensus {
             running: self.running.load(Ordering::Acquire),
             waiting: self.waiting.load(Ordering::Acquire),
+            committing: self.committing.load(Ordering::Acquire),
             sleeping: self.sleeping.load(Ordering::Acquire),
             finished: self.finished.load(Ordering::Acquire),
         }
@@ -348,6 +368,10 @@ impl WakeSink for Router {
             None => front.mail_deposit(txn, signal),
         }
     }
+
+    fn census(&self) -> ReactorCensus {
+        self.shared.census()
+    }
 }
 
 /// Everything one worker owns: its sessions, its timer wheel, and its
@@ -367,10 +391,43 @@ struct WorkerState {
     /// Shards with a tick timer currently in the wheel.
     tick_armed: BTreeSet<usize>,
     tick_us: u64,
+    /// Commits of this worker's sessions parked per station shard — the
+    /// shards a flush pass leads a round on.
+    committing_on: BTreeMap<usize, u64>,
+    /// Parked commits in park order, `(parked at, txn)`; entries whose
+    /// core has since settled are skipped lazily, so the first live one
+    /// is the oldest.
+    commit_order: VecDeque<(u64, TxnId)>,
+    /// Durations of the last [`PASS_WINDOW`] flush passes, and their
+    /// median — how long the oldest parked commit may wait before a
+    /// busy worker interrupts its queue for a pass.
+    pass_us: VecDeque<u64>,
+    pass_median_us: u64,
+    /// Whether this worker's clock is the wall clock (threaded loop) or
+    /// the driver's virtual clock, which stands still within a step.
+    wall_clock: bool,
+}
+
+/// Flush passes the worker's deadline rule takes the median over.
+const PASS_WINDOW: usize = 16;
+
+/// A settled commit's ledger fate.
+fn commit_fate(result: &PstmResult<CommitResult>) -> Fate {
+    match result {
+        Ok(CommitResult::Committed) => Fate::Committed,
+        Ok(CommitResult::Aborted(reason)) => Fate::Aborted(*reason),
+        Err(e) => Fate::Failed(e.to_string()),
+    }
 }
 
 impl WorkerState {
-    fn new(worker: usize, front: ShardedFront, shared: Arc<Shared>, tick_us: u64) -> WorkerState {
+    fn new(
+        worker: usize,
+        front: ShardedFront,
+        shared: Arc<Shared>,
+        tick_us: u64,
+        wall_clock: bool,
+    ) -> WorkerState {
         WorkerState {
             worker,
             front,
@@ -380,6 +437,21 @@ impl WorkerState {
             waiting_on: BTreeMap::new(),
             tick_armed: BTreeSet::new(),
             tick_us: tick_us.max(1),
+            committing_on: BTreeMap::new(),
+            commit_order: VecDeque::new(),
+            pass_us: VecDeque::with_capacity(PASS_WINDOW),
+            pass_median_us: 0,
+            wall_clock,
+        }
+    }
+
+    /// The worker's clock, `now_us` being its last sample: re-read in
+    /// the threaded loop, unchanged under the deterministic driver.
+    fn clock(&self, now_us: u64) -> u64 {
+        if self.wall_clock {
+            self.front.now().0
+        } else {
+            now_us
         }
     }
 
@@ -484,7 +556,15 @@ impl WorkerState {
             self.shared.stale.fetch_add(1, Ordering::AcqRel);
             return;
         };
-        let CorePhase::Waiting(shard) = core.phase else {
+        if let (CorePhase::Committing(_), Signal::Settled(result)) = (core.phase, &signal) {
+            // Another leader's round settled our parked commit.
+            self.emit_queued_span(&core, enq_us, now_us);
+            self.settle_core(core, result.clone());
+            return;
+        }
+        let (CorePhase::Waiting(shard), Signal::Resumed(_) | Signal::Aborted(_)) =
+            (core.phase, &signal)
+        else {
             // Delivered, finished, or back asleep through another path:
             // benign, counted, dropped (awake() re-discovers aborts).
             self.shared.stale.fetch_add(1, Ordering::AcqRel);
@@ -570,18 +650,11 @@ impl WorkerState {
                     cell.fill(Err(e));
                 }
             },
-            StepOp::Commit => match core.session.commit() {
-                Ok(result) => {
-                    let fate = match &result {
-                        CommitResult::Committed => Fate::Committed,
-                        CommitResult::Aborted(reason) => Fate::Aborted(*reason),
-                    };
-                    self.finish(&mut core, fate);
-                    cell.fill(Ok(StepReply::Committed(result)));
-                }
-                Err(e) => {
-                    self.finish(&mut core, Fate::Failed(e.to_string()));
-                    cell.fill(Err(e));
+            StepOp::Commit => match self.start_commit(&mut core, now_us) {
+                None => core.pending_reply = Some(Arc::clone(cell)),
+                Some(result) => {
+                    self.finish(&mut core, commit_fate(&result));
+                    cell.fill(result.map(StepReply::Committed));
                 }
             },
             StepOp::Abort => match core.session.abort() {
@@ -619,7 +692,7 @@ impl WorkerState {
                 break;
             }
             let Some(step) = core.program.get(core.pc).cloned() else {
-                self.settle_commit(&mut core);
+                self.settle_commit(&mut core, now_us);
                 break;
             };
             core.pc += 1;
@@ -646,7 +719,7 @@ impl WorkerState {
                     Err(e) => self.finish(&mut core, Fate::Failed(e.to_string())),
                 },
                 ProgramStep::Commit => {
-                    self.settle_commit(&mut core);
+                    self.settle_commit(&mut core, now_us);
                     break;
                 }
                 ProgramStep::Abort => {
@@ -664,15 +737,120 @@ impl WorkerState {
         }
     }
 
-    fn settle_commit(&mut self, core: &mut SessionCore) {
-        match core.session.commit() {
-            Ok(CommitResult::Committed) => self.finish(core, Fate::Committed),
-            Ok(CommitResult::Aborted(reason)) => self.finish(core, Fate::Aborted(reason)),
-            Err(e) => self.finish(core, Fate::Failed(e.to_string())),
+    /// A program's commit: parked at its station, or settled inline.
+    fn settle_commit(&mut self, core: &mut SessionCore, now_us: u64) {
+        if let Some(result) = self.start_commit(core, now_us) {
+            self.finish(core, commit_fate(&result));
         }
     }
 
-    /// Fires every due timer. Returns how many fired.
+    /// Starts `core`'s commit. A grouped single-shard commit parks at its
+    /// shard's station (`None`: a flush pass settles it later); any other
+    /// commit runs inline and its outcome is returned.
+    fn start_commit(
+        &mut self,
+        core: &mut SessionCore,
+        now_us: u64,
+    ) -> Option<PstmResult<CommitResult>> {
+        match core.session.park_commit() {
+            Ok(Some(shard)) => {
+                self.set_phase(core, CorePhase::Committing(shard));
+                *self.committing_on.entry(shard).or_insert(0) += 1;
+                self.commit_order.push_back((now_us, core.session.id()));
+                None
+            }
+            Ok(None) => Some(core.session.commit()),
+            Err(e) => Some(Err(e)),
+        }
+    }
+
+    /// True while any of this worker's sessions waits at a station.
+    fn has_parked_commits(&self) -> bool {
+        !self.committing_on.is_empty()
+    }
+
+    /// One flush pass: leads one round at every station this worker has
+    /// commits parked on, then settles the outcomes — its own cores
+    /// directly, another worker's through a routed `Settled`. Returns
+    /// whether any round had a wave to flush (`false`: every parked
+    /// commit is in another leader's hands, its outcome on the way).
+    fn flush_pass(&mut self, now_us: u64) -> bool {
+        let started = self.clock(now_us);
+        // The leader's pass is its group-wait station; the round's
+        // nested phases carve out their own time.
+        let _wait = prof::PhaseTimer::start(CommitPhase::GroupWait);
+        let shards: Vec<usize> = self.committing_on.keys().copied().collect();
+        let mut led = false;
+        for shard in shards {
+            let round = {
+                let fence = self.front.lock_fence(shard);
+                self.front.lead_group_round(shard, &fence)
+            };
+            let Some(parked) = round else { continue };
+            led = true;
+            for (txn, result) in parked {
+                match self.cores.remove(&txn) {
+                    Some(core) => self.settle_core(core, result),
+                    None => self.front.route_settled(txn, result),
+                }
+            }
+        }
+        self.record_pass(self.clock(now_us).saturating_sub(started));
+        led
+    }
+
+    /// Folds one pass duration into the window and its median (the
+    /// upper median over an even count).
+    fn record_pass(&mut self, us: u64) {
+        if self.pass_us.len() == PASS_WINDOW {
+            self.pass_us.pop_front();
+        }
+        self.pass_us.push_back(us);
+        let mut sorted: Vec<u64> = self.pass_us.iter().copied().collect();
+        sorted.sort_unstable();
+        self.pass_median_us = sorted[sorted.len() / 2];
+    }
+
+    /// The deadline rule: runs a flush pass once the oldest parked
+    /// commit has waited as long as the median recent pass — so a busy
+    /// queue delays a commit by about one pass, never indefinitely.
+    fn flush_if_overdue(&mut self, now_us: u64) {
+        while let Some(&(_, txn)) = self.commit_order.front() {
+            if self.cores.get(&txn).is_some_and(|c| matches!(c.phase, CorePhase::Committing(_))) {
+                break;
+            }
+            self.commit_order.pop_front();
+        }
+        let Some(&(parked_at, _)) = self.commit_order.front() else { return };
+        if self.clock(now_us).saturating_sub(parked_at) >= self.pass_median_us {
+            self.flush_pass(now_us);
+        }
+    }
+
+    /// Ends a parked commit with its round's outcome: ledger fate, the
+    /// handle's reply (if one waits), and the core is dropped.
+    fn settle_core(&mut self, mut core: SessionCore, result: PstmResult<CommitResult>) {
+        let CorePhase::Committing(shard) = core.phase else {
+            // Not parked: the outcome is not this core's to take.
+            self.shared.stale.fetch_add(1, Ordering::AcqRel);
+            self.cores.insert(core.session.id(), core);
+            return;
+        };
+        if let Some(n) = self.committing_on.get_mut(&shard) {
+            *n = n.saturating_sub(1);
+            if *n == 0 {
+                self.committing_on.remove(&shard);
+            }
+        }
+        let result = core.session.settle_parked_commit(result);
+        self.finish(&mut core, commit_fate(&result));
+        if let Some(cell) = core.pending_reply.take() {
+            cell.fill(result.map(StepReply::Committed));
+        }
+    }
+
+    /// Fires every due timer, applying the flush deadline rule between
+    /// timers. Returns how many fired.
     fn fire_due(&mut self, now_us: u64) -> usize {
         let mut fired = 0;
         while let Some((deadline, ev)) = self.wheel.pop_due(now_us) {
@@ -682,6 +860,7 @@ impl WorkerState {
                 TimerEv::Awake(txn) => self.awake_session(txn, now_us),
                 TimerEv::TickShard(shard) => self.tick_fire(shard, now_us),
             }
+            self.flush_if_overdue(now_us);
         }
         fired
     }
@@ -769,7 +948,7 @@ impl Reactor {
         front.install_wake_sink(Arc::clone(&router) as Arc<dyn WakeSink>);
         let mut threads = Vec::with_capacity(workers);
         for (worker, rx) in rxs.into_iter().enumerate() {
-            let state = WorkerState::new(worker, front.clone(), Arc::clone(&shared), tick_us);
+            let state = WorkerState::new(worker, front.clone(), Arc::clone(&shared), tick_us, true);
             let handle = std::thread::Builder::new()
                 .name(format!("pstm-reactor-{worker}"))
                 .spawn(move || worker_loop(state, &rx))
@@ -879,11 +1058,33 @@ impl Reactor {
 
 /// The threaded worker loop: fire due timers, then park in the channel
 /// bounded by the wheel's next deadline. No polling — an idle worker
-/// sleeps until a message or timer arrives.
+/// sleeps until a message or timer arrives. While its sessions have
+/// commits parked, the worker never parks: an empty queue is its cue to
+/// run a flush pass, and a busy one is interrupted for a pass once the
+/// oldest parked commit is overdue ([`WorkerState::flush_if_overdue`]).
 fn worker_loop(mut state: WorkerState, rx: &Receiver<Msg>) {
     loop {
         let now_us = state.front.now().0;
         state.fire_due(now_us);
+        state.flush_if_overdue(now_us);
+        if state.has_parked_commits() {
+            match rx.try_recv() {
+                Ok(msg) => {
+                    if !state.handle_or_shutdown(msg) {
+                        return;
+                    }
+                    continue;
+                }
+                Err(TryRecvError::Disconnected) => return,
+                Err(TryRecvError::Empty) => {
+                    if state.flush_pass(now_us) {
+                        continue;
+                    }
+                    // Every parked commit sits in another leader's wave;
+                    // its outcome arrives as a message like any other.
+                }
+            }
+        }
         let msg = match state.wheel.next_deadline() {
             None => match rx.recv() {
                 Ok(msg) => msg,
@@ -901,12 +1102,26 @@ fn worker_loop(mut state: WorkerState, rx: &Receiver<Msg>) {
                 }
             }
         };
-        if matches!(msg, Msg::Shutdown) {
-            // Shutdown is not depth-accounted (it carries no work).
+        if !state.handle_or_shutdown(msg) {
             return;
         }
-        let now_us = state.front.now().0;
-        state.handle(msg, now_us);
+    }
+}
+
+impl WorkerState {
+    /// The threaded loop's delivery: handles `msg`, or — on `Shutdown` —
+    /// settles every commit still parked here and reports `false`.
+    fn handle_or_shutdown(&mut self, msg: Msg) -> bool {
+        let now_us = self.front.now().0;
+        if matches!(msg, Msg::Shutdown) {
+            // Shutdown is not depth-accounted (it carries no work). A
+            // handle's commit may still be parked: flush it rather than
+            // strand its caller.
+            while self.has_parked_commits() && self.flush_pass(now_us) {}
+            return false;
+        }
+        self.handle(msg, now_us);
+        true
     }
 }
 
@@ -1097,6 +1312,59 @@ mod tests {
         assert_eq!(handle.commit().expect("commit"), CommitResult::Committed);
         reactor.shutdown();
         assert_eq!(front.resource_value(r).expect("value"), pstm_types::Value::Int(8));
+    }
+
+    #[test]
+    fn grouped_handle_commits_park_and_settle_through_flush_passes() {
+        let world = counter_world(4, 5).expect("world");
+        let config = FrontConfig { group_commit: true, ..parked_config(1) };
+        let front = ShardedFront::new(world.db, world.bindings, config);
+        let reactor =
+            Reactor::start(front.clone(), ReactorConfig::default()).expect("reactor starts");
+        std::thread::scope(|scope| {
+            for r in &world.resources {
+                let mut handle = reactor.handle();
+                scope.spawn(move || {
+                    handle.execute(*r, ScalarOp::Add(Value::Int(1))).expect("execute");
+                    assert_eq!(handle.commit().expect("commit"), CommitResult::Committed);
+                });
+            }
+        });
+        assert_eq!(reactor.census().committing, 0);
+        assert_eq!(reactor.census().live(), 0);
+        reactor.shutdown();
+        for r in &world.resources {
+            assert_eq!(front.resource_value(*r).expect("value"), Value::Int(6));
+        }
+        front.verify_serializable().expect("serializable");
+    }
+
+    #[test]
+    fn shutdown_flushes_commits_still_parked() {
+        // A worker reading `Shutdown` while a commit waits at its station
+        // (a handle's caller blocked on the reply) must settle it first.
+        let world = counter_world(1, 0).expect("world");
+        let config = FrontConfig { group_commit: true, ..parked_config(1) };
+        let front = ShardedFront::new(world.db, world.bindings, config);
+        let shared = Arc::new(Shared::new(1));
+        let mut state = WorkerState::new(0, front.clone(), Arc::clone(&shared), 1_000, true);
+        let core = SessionCore {
+            session: front.session(),
+            program: vec![
+                ProgramStep::Execute(world.resources[0], ScalarOp::Add(Value::Int(1))),
+                ProgramStep::Commit,
+            ],
+            pc: 0,
+            phase: CorePhase::Running,
+            pending_reply: None,
+        };
+        shared.depth[0].fetch_add(1, Ordering::AcqRel);
+        state.handle(Msg::Spawn { core: Box::new(core), enq_us: 0 }, 0);
+        assert_eq!(shared.census().committing, 1, "the commit parks at its station");
+        assert!(!state.handle_or_shutdown(Msg::Shutdown), "shutdown ends the loop");
+        assert_eq!(shared.census().committing, 0);
+        assert!(shared.ledger.snapshot().values().all(|fate| *fate == Fate::Committed));
+        assert_eq!(front.resource_value(world.resources[0]).expect("value"), Value::Int(1));
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! - **virtual time** — a `u64` clock that only moves when the driver
 //!   moves it (one tick per handled message; jumps to the earliest
 //!   timer deadline when every queue is idle);
-//! - **seeded scheduling** — the next non-empty worker queue is picked
-//!   by an xorshift generator, so a seed *is* an interleaving and
+//! - **seeded scheduling** — the next worker to act is picked by an
+//!   xorshift generator among those with a queued message or, queue
+//!   empty, commits parked at a group-commit station (it then runs the
+//!   threaded loop's flush pass), so a seed *is* an interleaving and
 //!   replaying the seed replays the run;
 //! - **a step history** — one line per scheduling decision, letting
 //!   property tests assert structural facts (no double delivery, no
@@ -32,11 +34,16 @@ use std::sync::Arc;
 /// Buffering wake sink: deposits land here, the driver routes them.
 struct DetSink {
     pending: Mutex<VecDeque<(TxnId, Signal)>>,
+    shared: Arc<Shared>,
 }
 
 impl WakeSink for DetSink {
     fn route_wake(&self, txn: TxnId, signal: Signal) {
         self.pending.lock().push_back((txn, signal));
+    }
+
+    fn census(&self) -> ReactorCensus {
+        self.shared.census()
     }
 }
 
@@ -66,9 +73,10 @@ impl DetReactor {
             // Virtual time: a 1-tick-per-step clock means the fallback
             // tick cadence must stay small or wait timeouts would
             // starve; deadlines re-arm off the shard's exact report.
-            .map(|w| WorkerState::new(w, front.clone(), Arc::clone(&shared), 16))
+            .map(|w| WorkerState::new(w, front.clone(), Arc::clone(&shared), 16, false))
             .collect();
-        let sink = Arc::new(DetSink { pending: Mutex::new(VecDeque::new()) });
+        let sink =
+            Arc::new(DetSink { pending: Mutex::new(VecDeque::new()), shared: Arc::clone(&shared) });
         front.install_wake_sink(Arc::clone(&sink) as Arc<dyn WakeSink>);
         DetReactor {
             front,
@@ -129,15 +137,18 @@ impl DetReactor {
         txn
     }
 
-    /// One scheduling step: route pending wakes, then either handle one
-    /// message from a seeded-random non-empty queue, or — if every
-    /// queue is idle — jump the clock to the earliest timer deadline
-    /// across workers and fire it. Returns `false` at quiescence
-    /// (no messages, no wakes, no timers).
+    /// One scheduling step: route pending wakes, then pick a
+    /// seeded-random worker that has work — a queued message to handle,
+    /// or (queue empty) parked commits to flush, exactly as the threaded
+    /// loop does when its channel runs dry. If no worker has either,
+    /// jump the clock to the earliest timer deadline across workers and
+    /// fire it. Returns `false` at quiescence (no messages, no wakes, no
+    /// parked commits, no timers).
     pub fn step(&mut self) -> bool {
         self.pump();
-        let nonempty: Vec<usize> =
-            (0..self.queues.len()).filter(|&w| !self.queues[w].is_empty()).collect();
+        let nonempty: Vec<usize> = (0..self.queues.len())
+            .filter(|&w| !self.queues[w].is_empty() || self.states[w].has_parked_commits())
+            .collect();
         if nonempty.is_empty() {
             // Idle: advance virtual time to the earliest timer.
             let mut best: Option<(u64, usize)> = None;
@@ -155,12 +166,24 @@ impl DetReactor {
             return true;
         }
         let pick = nonempty[(self.next_rng() % nonempty.len() as u64) as usize];
-        // One message per tick keeps enqueue/delivery ordering total.
+        // One message (or flush pass) per tick keeps enqueue/delivery
+        // ordering total.
         self.clock += 1;
-        let Some(msg) = self.queues[pick].pop_front() else { return true };
+        let Some(msg) = self.queues[pick].pop_front() else {
+            let before = self.ledger_len();
+            let led = self.states[pick].flush_pass(self.clock);
+            let settled = self.ledger_len() - before;
+            self.history
+                .push(format!("t={} worker={pick} flush led={led} settled={settled}", self.clock));
+            return true;
+        };
         self.history.push(format!("t={} worker={pick} {}", self.clock, describe(&msg)));
         self.states[pick].handle(msg, self.clock);
         true
+    }
+
+    fn ledger_len(&self) -> usize {
+        self.shared.ledger.fates.lock().unwrap_or_else(std::sync::PoisonError::into_inner).len()
     }
 
     /// Runs until quiescent. Returns the number of steps taken.
@@ -196,6 +219,7 @@ impl DetReactor {
                 return Some(match core.phase {
                     CorePhase::Running => "running",
                     CorePhase::Waiting(_) => "waiting",
+                    CorePhase::Committing(_) => "committing",
                     CorePhase::Sleeping => "sleeping",
                     CorePhase::Finished => "finished",
                 });
@@ -249,6 +273,7 @@ fn describe(msg: &Msg) -> String {
             let kind = match signal {
                 Signal::Resumed(_) => "resumed",
                 Signal::Aborted(_) => "aborted",
+                Signal::Settled(_) => "settled",
             };
             format!("wake txn={} {kind}", txn.0)
         }
@@ -311,5 +336,40 @@ mod tests {
         det.run_to_quiescence();
         assert_eq!(det.ledger().get(&sleeper), Some(&Fate::Committed));
         det.shutdown();
+    }
+
+    #[test]
+    fn parked_commits_show_in_census_expo_and_flight_recorder() {
+        let world = counter_world(4, 0).expect("world");
+        let path =
+            std::env::temp_dir().join(format!("pstm-det-committing-{}.rec", std::process::id()));
+        let recorder = pstm_obs::Recorder::create(&path, 1 << 16, true).expect("recorder");
+        let config = FrontConfig {
+            shards: 1,
+            parked_waits: true,
+            group_commit: true,
+            ..FrontConfig::default()
+        };
+        let front = ShardedFront::with_recorder(world.db, world.bindings, config, recorder);
+        let mut det = DetReactor::new(front.clone(), 1, 3);
+        for r in &world.resources[..3] {
+            det.spawn_program(vec![
+                ProgramStep::Execute(*r, ScalarOp::Add(Value::Int(1))),
+                ProgramStep::Commit,
+            ]);
+        }
+        while det.census().committing < 3 {
+            assert!(det.step(), "all three commits park before the first flush pass");
+        }
+        assert!(det.snapshot().prometheus().contains("pstm_reactor_committing 3"));
+        assert_eq!(front.fleet_snapshot().reactor.map(|c| c.committing), Some(3));
+        det.run_to_quiescence();
+        assert_eq!(det.census().committing, 0);
+        det.shutdown();
+
+        let replay = pstm_obs::read_recorder(&path).expect("read recorder");
+        std::fs::remove_file(&path).ok();
+        let pm = pstm_obs::analyze(&replay);
+        assert_eq!(pm.reactor.map(|c| c.committing), Some(3), "census lost in the recorder");
     }
 }

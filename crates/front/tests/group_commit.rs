@@ -1,13 +1,16 @@
 //! Group-commit station tests: single-shard commits fuse into batched
 //! SST flushes behind a per-shard leader, with per-member outcomes, full
-//! counter accounting, and clean crash unwind.
+//! counter accounting, and clean crash unwind — under blocking sessions
+//! and under the reactor's flush passes.
 
 use pstm_core::gtm::CommitResult;
-use pstm_faults::{FaultInjector, FaultPlan};
+use pstm_faults::{recovered_in_flight, FaultInjector, FaultPlan};
+use pstm_front::reactor::{Fate, ProgramStep, Reactor, ReactorConfig};
 use pstm_front::{FrontConfig, SessionOutcome, ShardedFront};
 use pstm_obs::{Ctr, RingSink, Tracer};
-use pstm_types::{AbortReason, ScalarOp, Value};
+use pstm_types::{AbortReason, PstmError, ScalarOp, TxnId, Value};
 use pstm_workload::counter_world;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 const OBJECTS: usize = 8;
@@ -125,4 +128,88 @@ fn grouped_commit_crash_at_pre_sst_unwinds_cleanly() {
     assert_eq!(err, pstm_types::PstmError::Crashed("pre-sst".to_string()));
     assert!(front.shards_unlocked(), "crash path must not leak a shard lock");
     assert_eq!(front.resource_value(world.resources[0]).unwrap(), Value::Int(INITIAL));
+}
+
+/// A crash injected at `site` during a reactor flush pass. Every member
+/// of the crashed wave ends `Fate::Failed`, no session is left parked at
+/// the station, and the reactor shuts down cleanly. Returns the
+/// faults harness's recovery verdict on the crashed wave: `true` when
+/// its writes survived recovery whole (each visible exactly once),
+/// `false` when none did.
+fn reactor_flush_crash(site: &'static str) -> bool {
+    let world = counter_world(OBJECTS, INITIAL).unwrap();
+    world.db.checkpoint().unwrap();
+    let config = FrontConfig {
+        shards: 1,
+        group_commit: true,
+        max_group: 8,
+        parked_waits: true,
+        ..FrontConfig::default()
+    };
+    let front =
+        ShardedFront::with_shard_tracers(world.db.clone(), world.bindings.clone(), config, |_| {
+            Tracer::with_sink(Box::new(RingSink::new(1 << 16)))
+        });
+    let injector = Arc::new(FaultInjector::new(FaultPlan::new(7).crash_at_kind(site, 1)));
+    front.set_fault_hook(Arc::clone(&injector) as _);
+    let reactor =
+        Reactor::start(front.clone(), ReactorConfig { workers: 1, ..Default::default() }).unwrap();
+    let txns: Vec<TxnId> = world
+        .resources
+        .iter()
+        .map(|r| {
+            reactor.spawn_program(vec![
+                ProgramStep::Execute(*r, ScalarOp::Sub(Value::Int(1))),
+                ProgramStep::Commit,
+            ])
+        })
+        .collect();
+    reactor.wait_finished(txns.len());
+    let census = reactor.census();
+    assert_eq!(census.committing, 0, "a commit stranded at the station");
+    assert_eq!(census.live(), 0);
+    let ledger = reactor.ledger();
+    reactor.shutdown();
+
+    // The first flush crashed: its members failed, later waves landed.
+    let crashed = PstmError::Crashed(site.to_string()).to_string();
+    let mut wave = BTreeMap::new();
+    let mut acked = [0i64; OBJECTS];
+    for (i, txn) in txns.iter().enumerate() {
+        match &ledger[txn] {
+            Fate::Failed(text) => {
+                assert_eq!(text, &crashed, "wave member {txn:?} failed otherwise");
+                wave.insert(i, 1);
+            }
+            Fate::Committed => acked[i] += 1,
+            other => panic!("{txn:?} ended {other:?}"),
+        }
+    }
+    assert!(!wave.is_empty(), "the injected crash must hit a flush");
+
+    world.db.simulate_crash_and_recover().unwrap();
+    let extra: Vec<i64> = world
+        .resources
+        .iter()
+        .enumerate()
+        .map(|(i, r)| match front.resource_value(*r).unwrap() {
+            Value::Int(v) => INITIAL - v - acked[i],
+            other => panic!("counter holds {other:?}"),
+        })
+        .collect();
+    recovered_in_flight(&extra, Some(&wave)).unwrap()
+}
+
+/// `pre-sst` fires before the wave reconciles: recovery shows none of
+/// its writes.
+#[test]
+fn reactor_flush_crash_at_pre_sst_loses_the_whole_wave() {
+    assert!(!reactor_flush_crash("pre-sst"), "nothing of the crashed wave may survive");
+}
+
+/// `pre-finish` fires once the fused SST is durable: recovery shows the
+/// wave's writes exactly once.
+#[test]
+fn reactor_flush_crash_at_pre_finish_keeps_the_wave_exactly_once() {
+    assert!(reactor_flush_crash("pre-finish"), "the durable wave must survive whole");
 }

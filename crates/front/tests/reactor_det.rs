@@ -15,11 +15,21 @@
 //!   slots and is charged zero worker steps until its timer fires;
 //! - **a seed is a schedule** — identical seeds replay identical
 //!   histories and ledgers, bit for bit.
+//!
+//! With group commit on, single-shard commits park at their shard's
+//! station and a worker whose queue runs dry runs a flush pass:
+//!
+//! - **every parked commit settles** by quiescence;
+//! - **parked commits fuse** — N commits parked on one shard before
+//!   its worker's queue runs dry flush as ⌈N/`max_group`⌉ groups;
+//! - **flush passes replay** — identical seeds give identical
+//!   histories, flush events included.
 
 use proptest::prelude::*;
 use pstm_front::reactor::det::DetReactor;
 use pstm_front::reactor::{Fate, ProgramStep};
 use pstm_front::{FrontConfig, ShardedFront};
+use pstm_obs::{Ctr, RingSink, Tracer};
 use pstm_types::{ResourceId, ScalarOp, TxnId, Value};
 use pstm_workload::counter_world;
 
@@ -29,6 +39,27 @@ fn front(shards: usize) -> (ShardedFront, Vec<ResourceId>) {
     let world = counter_world(OBJECTS, 0).expect("world");
     let config = FrontConfig { shards, parked_waits: true, ..FrontConfig::default() };
     (ShardedFront::new(world.db, world.bindings, config), world.resources)
+}
+
+/// A group-commit front (every shard traced, so group flushes count).
+fn grouped_front(shards: usize, max_group: usize) -> (ShardedFront, Vec<ResourceId>) {
+    let world = counter_world(OBJECTS, 0).expect("world");
+    let config = FrontConfig {
+        shards,
+        parked_waits: true,
+        group_commit: true,
+        max_group,
+        ..FrontConfig::default()
+    };
+    let front = ShardedFront::with_shard_tracers(world.db, world.bindings, config, |_| {
+        Tracer::with_sink(Box::new(RingSink::new(1 << 14)))
+    });
+    (front, world.resources)
+}
+
+/// History lines of flush passes that led a wave.
+fn flushes_led(history: &[String]) -> usize {
+    history.iter().filter(|line| line.contains(" flush led=true")).count()
 }
 
 /// One op: (key, delta, churn) — churn 0 inserts a sleep after the op.
@@ -193,6 +224,95 @@ proptest! {
             runs.push(record);
         }
         prop_assert_eq!(&runs[0].0, &runs[1].0, "same seed, same schedule");
+        prop_assert_eq!(&runs[0].1, &runs[1].1, "same seed, same fates");
+        prop_assert_eq!(runs[0].2, runs[1].2, "same seed, same virtual clock");
+    }
+
+    #[test]
+    fn prop_every_parked_commit_settles_by_quiescence(
+        seed in 1u64..u64::MAX,
+        workers in 1usize..4,
+        max_group in 1usize..5,
+        specs in arb_programs(),
+    ) {
+        let (f, resources) = grouped_front(2, max_group);
+        let mut det = DetReactor::new(f.clone(), workers, seed);
+        let txns: Vec<TxnId> =
+            build(&specs, &resources).into_iter().map(|p| det.spawn_program(p)).collect();
+        det.run_to_quiescence();
+
+        let ledger = det.ledger();
+        for txn in &txns {
+            prop_assert_eq!(ledger.get(txn), Some(&Fate::Committed), "ledger {:?}", &ledger);
+            prop_assert_eq!(det.phase_name(*txn), None, "a settled core is dropped");
+        }
+        let census = det.census();
+        prop_assert_eq!(census.committing, 0, "a commit stranded at its station");
+        prop_assert_eq!(census.live(), 0);
+        prop_assert_eq!(census.finished, txns.len() as u64);
+        det.shutdown();
+        f.check_invariants().expect("invariants");
+        f.verify_serializable().expect("serializable");
+    }
+
+    #[test]
+    fn prop_commits_parked_before_the_queue_runs_dry_fuse(
+        seed in 1u64..u64::MAX,
+        workers in 1usize..4,
+        max_group in 1usize..5,
+        n in 1usize..=(OBJECTS / 2),
+    ) {
+        // N sessions on distinct objects of shard 0: one worker owns
+        // them all, and every spawn is queued before the first runs, so
+        // all N commits park before that worker's queue runs dry.
+        let (f, resources) = grouped_front(2, max_group);
+        let on_shard0: Vec<ResourceId> =
+            resources.iter().copied().filter(|r| f.shard_of(*r) == 0).take(n).collect();
+        prop_assert_eq!(on_shard0.len(), n);
+        let mut det = DetReactor::new(f.clone(), workers, seed);
+        for r in &on_shard0 {
+            det.spawn_program(vec![
+                ProgramStep::Execute(*r, ScalarOp::Add(Value::Int(1))),
+                ProgramStep::Commit,
+            ]);
+        }
+        det.run_to_quiescence();
+
+        let groups = n.div_ceil(max_group);
+        prop_assert!(det.ledger().values().all(|fate| *fate == Fate::Committed));
+        let fleet = f.fleet_snapshot();
+        prop_assert_eq!(fleet.registry.counter(Ctr::GroupCommits), groups as u64);
+        prop_assert_eq!(fleet.registry.counter(Ctr::GroupMembers), n as u64);
+        prop_assert_eq!(flushes_led(det.history()), groups, "one wave per flush pass");
+        det.shutdown();
+    }
+
+    #[test]
+    fn prop_identical_seeds_replay_identical_flush_passes(
+        seed in 1u64..u64::MAX,
+        workers in 1usize..4,
+        max_group in 1usize..5,
+        specs in arb_programs(),
+    ) {
+        let mut runs = Vec::new();
+        for _ in 0..2 {
+            let (f, resources) = grouped_front(2, max_group);
+            let mut det = DetReactor::new(f, workers, seed);
+            // At least one single-shard commit, so a pass always runs.
+            det.spawn_program(vec![
+                ProgramStep::Execute(resources[0], ScalarOp::Add(Value::Int(1))),
+                ProgramStep::Commit,
+            ]);
+            for program in build(&specs, &resources) {
+                det.spawn_program(program);
+            }
+            det.run_to_quiescence();
+            let record = (det.history().to_vec(), det.ledger(), det.clock());
+            det.shutdown();
+            runs.push(record);
+        }
+        prop_assert!(flushes_led(&runs[0].0) >= 1, "grouped commits must flush in passes");
+        prop_assert_eq!(&runs[0].0, &runs[1].0, "same seed, same schedule and flush passes");
         prop_assert_eq!(&runs[0].1, &runs[1].1, "same seed, same fates");
         prop_assert_eq!(runs[0].2, runs[1].2, "same seed, same virtual clock");
     }

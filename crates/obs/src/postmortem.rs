@@ -17,6 +17,7 @@
 
 use crate::event::TraceEvent;
 use crate::prof::CommitPhase;
+use crate::reactor::ReactorCensus;
 use crate::recorder::{RecorderEntry, RecorderReplay, ENGINE_SHARD};
 use crate::registry::Ctr;
 use pstm_types::{Timestamp, TxnId};
@@ -120,6 +121,9 @@ pub struct Postmortem {
     pub phase_ops: Vec<u64>,
     /// Snapshot records that survived.
     pub snapshots: u64,
+    /// The reactor census of the last surviving snapshot that carried
+    /// one — e.g. how many commits sat parked at a station at death.
+    pub reactor: Option<ReactorCensus>,
     /// Last `FaultInjected` event: `(site, action)` — the crash site when
     /// the death was an injected crash/tear at an instrumented seam.
     pub crash_site: Option<(String, String)>,
@@ -214,8 +218,9 @@ pub fn analyze(replay: &RecorderReplay) -> Postmortem {
                     _ => {}
                 }
             }
-            RecorderEntry::Snapshot { at, counters, phase_ns, phase_ops, .. } => {
+            RecorderEntry::Snapshot { at, counters, phase_ns, phase_ops, reactor, .. } => {
                 pm.snapshots += 1;
+                pm.reactor = reactor.or(pm.reactor);
                 pm.last_at = pm.last_at.max(*at);
                 if pm.counters.len() < counters.len() {
                     pm.counters.resize(counters.len(), 0);
@@ -380,6 +385,15 @@ impl Postmortem {
         }
         if !any_phase {
             let _ = writeln!(out, "(no phase samples in the recorded window)");
+        }
+
+        if let Some(c) = &self.reactor {
+            let _ = writeln!(
+                out,
+                "\n-- reactor at the last snapshot --\nrunning={} waiting={} committing={} \
+                 sleeping={} finished={}",
+                c.running, c.waiting, c.committing, c.sleeping, c.finished
+            );
         }
 
         let _ = writeln!(out, "\n-- per-shard tail state --");

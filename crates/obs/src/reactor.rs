@@ -12,6 +12,7 @@
 //! `pstm_reactor_*` series next to the registry page.
 
 use crate::hist::Histogram;
+use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// Microsecond bounds for wake-latency style quantities: the reactor's
@@ -32,12 +33,15 @@ pub fn wake_latency_histogram() -> Histogram {
 /// Point-in-time census of a reactor's sessions, by lifecycle phase.
 /// The fleet claim "≥95% of sessions sleeping cost nothing" is checked
 /// against exactly these numbers.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReactorCensus {
     /// Sessions currently executing or runnable on a worker.
     pub running: u64,
     /// Sessions parked behind incompatible work (a shard will wake them).
     pub waiting: u64,
+    /// Sessions whose single-shard commit is queued at a group-commit
+    /// station, waiting for a flush pass to settle it.
+    pub committing: u64,
     /// Disconnected sessions: no thread, no stack, no queue slot — only
     /// an inert state machine and (at most) one timer-wheel entry.
     pub sleeping: u64,
@@ -49,7 +53,7 @@ impl ReactorCensus {
     /// Sessions not yet finished.
     #[must_use]
     pub fn live(&self) -> u64 {
-        self.running + self.waiting + self.sleeping
+        self.running + self.waiting + self.committing + self.sleeping
     }
 
     /// Fraction of live sessions currently sleeping (`0.0` when none
@@ -119,6 +123,12 @@ impl ReactorSnapshot {
         for (phase, n) in census {
             let _ = writeln!(out, "pstm_reactor_sessions{{phase=\"{phase}\"}} {n}");
         }
+        let _ = writeln!(
+            out,
+            "# HELP pstm_reactor_committing Sessions whose commit waits at a group-commit station."
+        );
+        let _ = writeln!(out, "# TYPE pstm_reactor_committing gauge");
+        let _ = writeln!(out, "pstm_reactor_committing {}", self.census.committing);
         let _ = writeln!(out, "# HELP pstm_reactor_stale_wakes_total Wakes dropped as stale.");
         let _ = writeln!(out, "# TYPE pstm_reactor_stale_wakes_total counter");
         let _ = writeln!(out, "pstm_reactor_stale_wakes_total {}", self.stale_wakes);
@@ -156,8 +166,9 @@ mod tests {
 
     #[test]
     fn census_fractions() {
-        let census = ReactorCensus { running: 2, waiting: 3, sleeping: 95, finished: 10 };
-        assert_eq!(census.live(), 100);
+        let census =
+            ReactorCensus { running: 2, waiting: 2, committing: 1, sleeping: 95, finished: 10 };
+        assert_eq!(census.live(), 100, "a parked commit is live");
         assert!((census.sleeping_fraction() - 0.95).abs() < 1e-12);
         assert_eq!(ReactorCensus::default().sleeping_fraction(), 0.0);
     }
@@ -166,7 +177,8 @@ mod tests {
     fn snapshot_renders_every_series() {
         let mut snap = ReactorSnapshot::empty(2);
         snap.queue_depth = vec![1, 7];
-        snap.census = ReactorCensus { running: 1, waiting: 2, sleeping: 3, finished: 4 };
+        snap.census =
+            ReactorCensus { running: 1, waiting: 2, committing: 6, sleeping: 3, finished: 4 };
         snap.stale_wakes = 5;
         snap.wake_latency_us.record(120);
         snap.timer_lag_us.record(40);
@@ -175,6 +187,7 @@ mod tests {
             "pstm_reactor_queue_depth{worker=\"0\"} 1",
             "pstm_reactor_queue_depth{worker=\"1\"} 7",
             "pstm_reactor_sessions{phase=\"sleeping\"} 3",
+            "pstm_reactor_committing 6",
             "pstm_reactor_stale_wakes_total 5",
             "pstm_reactor_wake_latency_us{quantile=\"0.99\"} 250",
             "pstm_reactor_wake_latency_us_count 1",

@@ -38,6 +38,7 @@
 use crate::event::{AbortOrigin, TraceEvent, TraceRecord};
 use crate::frame::{next_frame, write_frame, FrameStep};
 use crate::prof::{CommitPhase, PhaseProfile};
+use crate::reactor::ReactorCensus;
 use crate::registry::{Ctr, MetricsRegistry};
 use crate::sink::Sink;
 use crate::span::SpanKind;
@@ -599,6 +600,9 @@ pub enum RecorderEntry {
         phase_ns: Vec<u64>,
         /// Per-[`CommitPhase`] op-count deltas, in taxonomy order.
         phase_ops: Vec<u64>,
+        /// The attached reactor's session census at the snapshot — a
+        /// gauge, not a delta — when a reactor was attached.
+        reactor: Option<ReactorCensus>,
     },
     /// `count` records were dropped (I/O error or oversized) immediately
     /// before this point in the stream.
@@ -625,7 +629,7 @@ pub fn encode_entry(seq: u64, entry: &RecorderEntry, out: &mut Vec<u8>) {
             put_opt(out, rec.thread);
             encode_event(&rec.event, out);
         }
-        RecorderEntry::Snapshot { wall_us, at, counters, phase_ns, phase_ops } => {
+        RecorderEntry::Snapshot { wall_us, at, counters, phase_ns, phase_ops, reactor } => {
             out.push(KIND_SNAPSHOT);
             put_opt(out, *wall_us);
             put_uvarint(out, at.0);
@@ -639,6 +643,15 @@ pub fn encode_entry(seq: u64, entry: &RecorderEntry, out: &mut Vec<u8>) {
             }
             for &n in phase_ops {
                 put_uvarint(out, n);
+            }
+            match reactor {
+                None => out.push(0),
+                Some(c) => {
+                    out.push(1);
+                    for n in [c.running, c.waiting, c.committing, c.sleeping, c.finished] {
+                        put_uvarint(out, n);
+                    }
+                }
             }
         }
         RecorderEntry::Drop { count } => {
@@ -694,7 +707,25 @@ pub fn decode_entry(payload: &[u8]) -> Option<(u64, RecorderEntry)> {
             for _ in 0..np {
                 phase_ops.push(get_uvarint(payload, &mut pos)?);
             }
-            RecorderEntry::Snapshot { wall_us, at, counters, phase_ns, phase_ops }
+            let reactor = match *payload.get(pos)? {
+                0 => {
+                    pos += 1;
+                    None
+                }
+                1 => {
+                    pos += 1;
+                    let mut next = || get_uvarint(payload, &mut pos);
+                    Some(ReactorCensus {
+                        running: next()?,
+                        waiting: next()?,
+                        committing: next()?,
+                        sleeping: next()?,
+                        finished: next()?,
+                    })
+                }
+                _ => return None,
+            };
+            RecorderEntry::Snapshot { wall_us, at, counters, phase_ns, phase_ops, reactor }
         }
         KIND_DROP => RecorderEntry::Drop { count: get_uvarint(payload, &mut pos)? },
         _ => return None,
@@ -908,9 +939,16 @@ impl Recorder {
     }
 
     /// Appends a metrics snapshot record: deltas of `reg`'s counters and
-    /// `prof`'s phase totals against the previous snapshot. The wall stamp
-    /// comes from the sanctioned [`crate::wallclock::wall_now_us`] seam.
-    pub fn snapshot_delta(&self, at: Timestamp, reg: &MetricsRegistry, prof: &PhaseProfile) {
+    /// `prof`'s phase totals against the previous snapshot, plus the
+    /// attached reactor's census as is. The wall stamp comes from the
+    /// sanctioned [`crate::wallclock::wall_now_us`] seam.
+    pub fn snapshot_delta(
+        &self,
+        at: Timestamp,
+        reg: &MetricsRegistry,
+        prof: &PhaseProfile,
+        reactor: Option<ReactorCensus>,
+    ) {
         let wall_us = crate::wallclock::wall_now_us();
         let mut dev = self.dev.lock();
         let mut counters = Vec::with_capacity(Ctr::COUNT);
@@ -929,7 +967,14 @@ impl Recorder {
             dev.prev_phase_ns[i] = ns;
             dev.prev_phase_ops[i] = ops;
         }
-        dev.append(&RecorderEntry::Snapshot { wall_us, at, counters, phase_ns, phase_ops });
+        dev.append(&RecorderEntry::Snapshot {
+            wall_us,
+            at,
+            counters,
+            phase_ns,
+            phase_ops,
+            reactor,
+        });
     }
 
     /// Writes any buffered frames and syncs file data to the device.
@@ -1153,6 +1198,13 @@ mod tests {
                 counters: vec![1; Ctr::COUNT],
                 phase_ns: vec![5; CommitPhase::COUNT],
                 phase_ops: vec![2; CommitPhase::COUNT],
+                reactor: Some(ReactorCensus {
+                    running: 1,
+                    waiting: 2,
+                    committing: 3,
+                    sleeping: 4,
+                    finished: 5,
+                }),
             },
             RecorderEntry::Drop { count: 3 },
         ];
@@ -1283,10 +1335,10 @@ mod tests {
         let mut reg = MetricsRegistry::new();
         reg.apply(Timestamp(1), &TraceEvent::TxnBegin { txn: TxnId(1) });
         let prof = PhaseProfile::empty();
-        rec.snapshot_delta(Timestamp(1), &reg, &prof);
+        rec.snapshot_delta(Timestamp(1), &reg, &prof, None);
         reg.apply(Timestamp(2), &TraceEvent::TxnBegin { txn: TxnId(2) });
         reg.apply(Timestamp(2), &TraceEvent::Committed { txn: TxnId(1) });
-        rec.snapshot_delta(Timestamp(2), &reg, &prof);
+        rec.snapshot_delta(Timestamp(2), &reg, &prof, None);
         rec.flush();
         let replay = read_recorder(&path).unwrap();
         let snaps: Vec<_> = replay

@@ -6,12 +6,16 @@
 use proptest::prelude::*;
 use pstm_obs::event::AbortOrigin;
 use pstm_obs::frame::{next_frame, FrameStep};
+use pstm_obs::postmortem::analyze;
+use pstm_obs::prof::PhaseProfile;
 use pstm_obs::recorder::{
     decode_entry, decode_event, decode_recorder_bytes, encode_entry, encode_event, get_uvarint,
     put_uvarint, RecorderEntry, ENGINE_SHARD,
 };
 use pstm_obs::span::SpanKind;
-use pstm_obs::{Recorder, Sink, TraceEvent, TraceRecord};
+use pstm_obs::{
+    read_recorder, MetricsRegistry, ReactorCensus, Recorder, Sink, TraceEvent, TraceRecord,
+};
 use pstm_types::{AbortReason, MemberId, ObjectId, OpClass, ResourceId, Timestamp, TxnId};
 
 fn arb_txn() -> impl Strategy<Value = TxnId> {
@@ -140,6 +144,18 @@ fn arb_record() -> impl Strategy<Value = TraceRecord> {
         .prop_map(|(seq, at, thread, event)| TraceRecord { seq, at: Timestamp(at), thread, event })
 }
 
+fn arb_census() -> impl Strategy<Value = ReactorCensus> {
+    (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()).prop_map(
+        |(running, waiting, committing, sleeping, finished)| ReactorCensus {
+            running,
+            waiting,
+            committing,
+            sleeping,
+            finished,
+        },
+    )
+}
+
 fn arb_entry() -> impl Strategy<Value = RecorderEntry> {
     prop_oneof![
         (any::<u32>(), prop_oneof![Just(None), any::<u64>().prop_map(Some)])
@@ -152,14 +168,16 @@ fn arb_entry() -> impl Strategy<Value = RecorderEntry> {
             prop::collection::vec(any::<u64>(), 0..48),
             prop::collection::vec(any::<u64>(), 9..10),
             prop::collection::vec(any::<u64>(), 9..10),
+            prop_oneof![Just(None), arb_census().prop_map(Some)],
         )
-            .prop_map(|(wall_us, at, counters, phase_ns, phase_ops)| {
+            .prop_map(|(wall_us, at, counters, phase_ns, phase_ops, reactor)| {
                 RecorderEntry::Snapshot {
                     wall_us,
                     at: Timestamp(at),
                     counters,
                     phase_ns,
                     phase_ops,
+                    reactor,
                 }
             }),
         any::<u64>().prop_map(|count| RecorderEntry::Drop { count }),
@@ -278,4 +296,31 @@ proptest! {
         }
         prop_assert_eq!(prev_count, full.entries.len());
     }
+}
+
+/// Commits parked at a group-commit station when the process died are
+/// visible in the post-mortem: the reactor census rides the snapshot
+/// record through the recorder file into `pstm_postmortem`'s report.
+#[test]
+fn parked_commits_survive_the_recorder_into_the_postmortem() {
+    let path = std::env::temp_dir().join(format!("pstm-rec-census-{}.rec", std::process::id()));
+    let rec = Recorder::create(&path, 1 << 16, true).expect("create recorder");
+    rec.write_meta(2, Some(1));
+    let census = ReactorCensus { running: 1, waiting: 2, committing: 5, sleeping: 7, finished: 11 };
+    let (reg, prof) = (MetricsRegistry::new(), PhaseProfile::empty());
+    rec.snapshot_delta(Timestamp(10), &reg, &prof, Some(census));
+    // A later snapshot without a reactor keeps the last census known.
+    rec.snapshot_delta(Timestamp(20), &reg, &prof, None);
+    rec.flush();
+    let replay = read_recorder(&path).expect("read back");
+    std::fs::remove_file(&path).ok();
+
+    let pm = analyze(&replay);
+    assert_eq!(pm.snapshots, 2);
+    assert_eq!(pm.reactor, Some(census));
+    let report = pm.render();
+    assert!(
+        report.contains("running=1 waiting=2 committing=5 sleeping=7 finished=11"),
+        "census missing from the report:\n{report}"
+    );
 }
