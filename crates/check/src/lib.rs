@@ -40,9 +40,9 @@
 //! The `pstm_check` binary exposes all four (`lint` / `verify` /
 //! `table` / `lockgraph` / `all`); the integration tests under `tests/`
 //! run them on every `cargo test`, and `tests/phased_commit_model.rs`
-//! adds a small-scope exhaustive interleaving model of the phased
-//! `commit_local`/`commit_finish`/`commit_abort` handshake (the loom
-//! role, in-tree).
+//! adds a small-scope exhaustive interleaving model of the
+//! `prepare` → `flush_sst` → `settle` commit protocol (the loom role,
+//! in-tree).
 
 #![warn(missing_docs)]
 

@@ -118,18 +118,12 @@ const WAL_BUF_MUTATORS: [&str; 7] = [
     "self.buf.get_mut",
 ];
 
-/// Functions allowed to mutate the log buffer: `append` and
-/// `append_batch` are the hooked durable-write seams; the rest shrink or
-/// corrupt the device (recovery / chaos helpers) and never add records
-/// past the seam.
-const WAL_SEAM_FNS: [&str; 6] = [
-    "append",
-    "append_batch",
-    "truncate_prefix",
-    "crash_truncate",
-    "corrupt_byte_with",
-    "trim_torn_tail",
-];
+/// Functions allowed to mutate the log buffer: `append_frames` is the
+/// one hooked durable-write seam (behind `append` and `append_batch`);
+/// the rest shrink or corrupt the device (recovery / chaos helpers) and
+/// never add records past the seam.
+const WAL_SEAM_FNS: [&str; 5] =
+    ["append_frames", "truncate_prefix", "crash_truncate", "corrupt_byte_with", "trim_torn_tail"];
 
 /// One of the lint rules (plus the synthetic rule flagging stale
 /// allowlist entries).
@@ -712,7 +706,7 @@ mod tests {
     #[test]
     fn wal_seam_flags_mutations_outside_sanctioned_fns() {
         let src = "impl Wal {\n\
-                       pub fn append(&mut self) { self.buf.extend_from_slice(&f); }\n\
+                       fn append_frames(&mut self) { self.buf.extend_from_slice(&f); }\n\
                        pub fn trim_torn_tail(&mut self) { self.buf.truncate(pos); }\n\
                        pub fn append_raw(&mut self) { self.buf.extend_from_slice(&f); }\n\
                    }\n";

@@ -205,7 +205,6 @@ fn classify(file: &str, recv: &str, kind: AccessKind) -> Option<String> {
             match recv {
                 "inner" => Some("engine_inner"),
                 "tracer" => Some("engine_tracer"),
-                "injected_faults" => Some("engine_faults"),
                 "apply_latency" => Some("engine_latency"),
                 "fault_hook" => Some("engine_fault_hook"),
                 _ => None,
@@ -224,9 +223,9 @@ pub fn class_level(class: &str) -> Option<u8> {
         "flush_fence" => Some(0),
         "gtm_shard" => Some(1),
         "group_queue" | "mail" | "commit_slot" | "front_fault_hook" | "front_recorder" => Some(2),
-        "engine_inner" | "engine_tracer" | "engine_faults" | "engine_latency"
-        | "engine_fault_hook" | "tracer_inner" | "sink_inner" | "obs_buf" | "recorder_dev"
-        | "prof_slots" | "faults_state" => Some(3),
+        "engine_inner" | "engine_tracer" | "engine_latency" | "engine_fault_hook"
+        | "tracer_inner" | "sink_inner" | "obs_buf" | "recorder_dev" | "prof_slots"
+        | "faults_state" => Some(3),
         _ => None,
     }
 }

@@ -1,13 +1,13 @@
-//! Small-scope exhaustive interleaving model of the phased cross-shard
-//! commit handshake (`commit_local` → SST → `commit_finish` /
-//! `commit_abort`) — the in-tree stand-in for a loom run, which the
-//! offline build cannot take as a dependency.
+//! Small-scope exhaustive interleaving model of the cross-shard commit
+//! protocol (`Gtm::prepare` → `flush_sst` → `Gtm::settle`) — the in-tree
+//! stand-in for a loom run, which the offline build cannot take as a
+//! dependency.
 //!
 //! The model mirrors `pstm-front`'s `commit_across`: each coordinator
 //! acquires its shard locks (ascending, as `lock_shards_ascending`
-//! enforces), runs `commit_local` per shard against a **real** `Gtm`,
-//! executes one SST for the combined write set, then settles every shard
-//! with `commit_finish` (or `commit_abort` when the SST failed). The
+//! enforces), runs `prepare` per shard against a **real** `Gtm`, flushes
+//! one SST for the combined write set, then settles every shard with the
+//! flush's outcome (a forced failure is a constraint violation). The
 //! scheduler enumerates *every* maximal interleaving of coordinator
 //! steps under the lock semantics, replaying the real state machines
 //! from scratch per schedule, and asserts:
@@ -23,10 +23,10 @@
 //! and asserts the enumeration *does* find a deadlock — the property
 //! the `lock-order` lint exists to protect.
 
-use pstm_core::gtm::{Gtm, GtmConfig, LocalCommit};
-use pstm_core::sst::Sst;
+use pstm_core::gtm::{CommitResult, Gtm, GtmConfig, Outcome};
+use pstm_core::sst::{flush_sst, Flush, Sst, SstBatch};
 use pstm_core::state::TxnState;
-use pstm_types::{AbortReason, ResourceId, ScalarOp, Timestamp, TxnId, Value};
+use pstm_types::{AbortReason, PstmError, ResourceId, ScalarOp, Timestamp, TxnId, Value};
 use pstm_workload::counter_world;
 
 /// One schedulable action of a coordinator, in program order.
@@ -34,11 +34,11 @@ use pstm_workload::counter_world;
 enum Step {
     /// Take the shard's commit lock (blocks while another holds it).
     Lock(usize),
-    /// `Gtm::commit_local` on the shard.
-    CommitLocal(usize),
-    /// Execute the combined write set (or observe its injected failure).
-    Sst,
-    /// `commit_finish` / `commit_abort` on the shard.
+    /// `Gtm::prepare` on the shard.
+    Prepare(usize),
+    /// Flush the combined write set (or observe its injected failure).
+    Flush,
+    /// `Gtm::settle` on the shard with the flush's outcome.
     Settle(usize),
     /// Release every held lock.
     Unlock,
@@ -59,12 +59,12 @@ struct Plan {
 impl Plan {
     fn steps(&self) -> Vec<Step> {
         let mut v: Vec<Step> = self.lock_order.iter().map(|&s| Step::Lock(s)).collect();
-        // commit_local / settle always walk ascending (guards order in
+        // prepare / settle always walk ascending (guards order in
         // commit_across); only acquisition order is under test.
         let mut asc = self.lock_order.clone();
         asc.sort_unstable();
-        v.extend(asc.iter().map(|&s| Step::CommitLocal(s)));
-        v.push(Step::Sst);
+        v.extend(asc.iter().map(|&s| Step::Prepare(s)));
+        v.push(Step::Flush);
         v.extend(asc.iter().map(|&s| Step::Settle(s)));
         v.push(Step::Unlock);
         v
@@ -163,8 +163,8 @@ fn replay(plans: &[Plan], n_shards: usize, schedule: &[usize]) -> Vec<Value> {
     // Scheduled phase.
     let step_lists: Vec<Vec<Step>> = plans.iter().map(Plan::steps).collect();
     let mut pcs = vec![0usize; plans.len()];
-    let mut writes: Vec<Vec<(ResourceId, Value)>> = vec![Vec::new(); plans.len()];
-    let mut sst_ok = vec![true; plans.len()];
+    let mut parked: Vec<Vec<(usize, SstBatch)>> = vec![Vec::new(); plans.len()];
+    let mut flushed: Vec<Option<Result<(), PstmError>>> = vec![None; plans.len()];
     for &c in schedule {
         let step = step_lists[c][pcs[c]];
         pcs[c] += 1;
@@ -173,26 +173,36 @@ fn replay(plans: &[Plan], n_shards: usize, schedule: &[usize]) -> Vec<Value> {
         let p = &plans[c];
         match step {
             Step::Lock(_) | Step::Unlock => {} // modeled abstractly
-            Step::CommitLocal(s) => match shards[s].commit_local(p.txn, now).expect("local") {
-                LocalCommit::Prepared(w) => writes[c].extend(w),
-                LocalCommit::Aborted(reason, _) => {
-                    panic!("compatible add/sub commit_local aborted: {reason:?}")
-                }
-            },
-            Step::Sst => {
-                if p.sst_fails {
-                    sst_ok[c] = false;
-                } else {
-                    let sst = Sst::new(p.txn, std::mem::take(&mut writes[c]));
-                    sst.execute(&world.db, &world.bindings).expect("sst");
+            Step::Prepare(s) => {
+                let prepared = shards[s].prepare(&[p.txn], now).expect("prepare");
+                match prepared.batch {
+                    Some(batch) => parked[c].push((s, batch)),
+                    None => panic!("compatible add/sub prepare aborted: {:?}", prepared.settled),
                 }
             }
+            Step::Flush => {
+                let writes = parked[c].iter().flat_map(|(_, b)| &b.members);
+                let sst = Sst::new(p.txn, writes.flat_map(|m| m.writes.clone()).collect());
+                let injected = p.sst_fails.then(|| PstmError::ConstraintViolation {
+                    constraint: "forced".into(),
+                    value: "-".into(),
+                });
+                let result =
+                    flush_sst(Flush::Solo(&sst), &world.db, &world.bindings, 0, injected, |_| {});
+                flushed[c] = Some(result);
+            }
             Step::Settle(s) => {
-                if sst_ok[c] {
-                    shards[s].commit_finish(p.txn, now).expect("finish");
+                let at = parked[c].iter().position(|(shard, _)| *shard == s).expect("parked");
+                let (_, batch) = parked[c].remove(at);
+                let outcome = Outcome::Flushed(flushed[c].clone().expect("flushed first"));
+                let settled = shards[s].settle(batch, outcome, now).expect("settle");
+                let want = if p.sst_fails {
+                    CommitResult::Aborted(AbortReason::Constraint)
                 } else {
-                    shards[s].commit_abort(p.txn, AbortReason::Constraint, now).expect("abort");
-                }
+                    CommitResult::Committed
+                };
+                assert_eq!(settled.settled, vec![(p.txn, want)]);
+                assert!(settled.reflush.is_empty(), "a one-member batch never reflushes");
             }
         }
     }
@@ -264,9 +274,10 @@ fn fully_contended_commits_serialize_cleanly() {
 }
 
 #[test]
-fn sst_failure_takes_the_commit_abort_path_on_every_shard() {
-    // T2's SST fails (constraint): every shard it spans must settle via
-    // commit_abort, T1 commits, and the database reflects T1 alone.
+fn sst_failure_settles_as_an_abort_on_every_shard() {
+    // T2's SST fails (constraint): every shard it spans must settle it
+    // as a Constraint abort, T1 commits, and the database reflects T1
+    // alone.
     let plans = vec![
         Plan { txn: TxnId(1), lock_order: vec![0, 1], add: 1, sst_fails: false },
         Plan { txn: TxnId(2), lock_order: vec![1, 2], add: 2, sst_fails: true },

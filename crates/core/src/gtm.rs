@@ -7,7 +7,7 @@
 //! |----------------------------|---------------|
 //! | `⟨begin, A⟩` (Alg 1)       | [`Gtm::begin`] |
 //! | `⟨op, X, A⟩` (Alg 2)       | [`Gtm::execute`] |
-//! | `⟨commit, X, A⟩`+`⟨commit, A⟩` (Algs 3–4) | [`Gtm::commit`] |
+//! | `⟨commit, X, A⟩`+`⟨commit, A⟩` (Algs 3–4) | [`Gtm::commit`] = [`Gtm::prepare`] → [`crate::sst::flush_sst`] → [`Gtm::settle`] |
 //! | `⟨abort, X, A⟩`+`⟨abort, A⟩` (Algs 5–6)   | [`Gtm::abort`] |
 //! | `⟨sleep, X, A⟩`+`⟨sleep, A⟩` (Algs 7–8)   | [`Gtm::sleep`] |
 //! | `⟨awake, X, A⟩`+`⟨awake, A⟩` (Algs 9–10)  | [`Gtm::awake`] |
@@ -26,7 +26,7 @@ use crate::dependence::DependenceMap;
 use crate::history::HistoryRecorder;
 use crate::policy::{AdmissionPolicy, StarvationPolicy};
 use crate::reconcile::reconcile;
-use crate::sst::{Sst, SstBatch};
+use crate::sst::{flush_sst, Flush, Sst, SstBatch};
 use crate::state::{ResourceState, TxnRecord, TxnState, WaitEntry};
 use pstm_lock::WaitsForGraph;
 use pstm_obs::prof::{self, CommitPhase};
@@ -185,57 +185,59 @@ pub enum CommitResult {
     Aborted(AbortReason),
 }
 
-/// Result of the local-commit phase ([`Gtm::commit_local`], Algorithm 3)
-/// when commit is driven in phases by an external coordinator — the
-/// sharded front-end's cross-shard commit folds several shards'
-/// `Prepared` writes into one SST.
-#[derive(Clone, Debug, PartialEq)]
-pub enum LocalCommit {
-    /// Every touched resource reconciled; these writes await a global
-    /// commit. The transaction is parked in `Committing` until the
-    /// coordinator calls [`Gtm::commit_finish`] or [`Gtm::commit_abort`].
-    Prepared(Vec<(ResourceId, Value)>),
-    /// A local commit failed (reconciliation overflow, zero snapshot,
-    /// engine read error); the transaction was aborted and cleaned up.
-    Aborted(AbortReason, StepEffects),
-}
-
-/// Result of [`Gtm::commit_group_local`]: the reconcile-and-park half of
-/// a group commit, handed to a coordinator that flushes the fused batch
-/// outside this GTM's lock and then settles it with
-/// [`Gtm::commit_group_finish`].
+/// Result of [`Gtm::prepare`]: reconciliation has run for every member
+/// it did not defer. The caller flushes `batch` (with
+/// [`crate::sst::flush_sst`]) outside the lock protecting this GTM and
+/// then hands the outcome to [`Gtm::settle`].
 #[derive(Debug)]
-pub struct GroupLocal {
-    /// Members that settled during reconciliation (local aborts and
-    /// batch-rejection fallbacks) — final, nothing further owed.
+pub struct Prepared {
+    /// Members whose reconciliation aborted them (overflow, a result the
+    /// column type rejects, a fault at the commit seams) — final.
     pub settled: Vec<(TxnId, CommitResult)>,
-    /// The fused batch of `Prepared` members, parked in `Committing`.
-    /// `None` when every submitted member settled or deferred.
+    /// The reconciled members, parked in `Committing` in arrival order.
+    /// `None` when every member settled or was deferred.
     pub batch: Option<SstBatch>,
     /// Members whose write estimate overlapped a batch member; untouched
-    /// and still active — resubmit after the batch's flush settles.
+    /// and still active — resubmit after the batch settles.
     pub deferred: Vec<TxnId>,
-    /// Reconciled members whose real writes the batch rejected: parked in
-    /// `Committing`, owed a **solo** flush. The caller must execute each
-    /// outside the lock protecting this GTM and settle it with
-    /// [`Gtm::commit_solo_finish`].
-    pub overflow: Vec<Sst>,
-    /// Merged effects of the settles above (waiter mail, busy time).
+    /// Merged effects of the settles above (waiter mail).
     pub effects: StepEffects,
 }
 
-/// Result of [`Gtm::commit_group_finish`].
+impl Prepared {
+    /// Why reconciliation aborted a member — for a one-transaction
+    /// prepare with no batch, the transaction's own abort reason.
+    #[must_use]
+    pub fn abort_reason(&self) -> Option<AbortReason> {
+        self.settled.iter().find_map(|(_, result)| match result {
+            CommitResult::Aborted(reason) => Some(*reason),
+            CommitResult::Committed => None,
+        })
+    }
+}
+
+/// How a prepared batch's flush ended — what [`Gtm::settle`] decides
+/// every member's fate from.
+#[derive(Clone, Debug)]
+pub enum Outcome {
+    /// The flush ran and returned this.
+    Flushed(PstmResult<()>),
+    /// Nothing was flushed: a sibling shard's prepare of the same
+    /// cross-shard commit failed, so every member aborts for `reason`.
+    Unwound(AbortReason),
+}
+
+/// Result of [`Gtm::settle`].
 #[derive(Debug)]
-pub struct GroupFinish {
-    /// Members settled by the fused flush's outcome — final.
+pub struct Settled {
+    /// Members settled by the outcome — final.
     pub settled: Vec<(TxnId, CommitResult)>,
-    /// Members the fused flush could not decide (a constraint violation
-    /// somewhere in the batch): each is still parked and owed a solo
-    /// flush so only the violators abort. The caller must execute each
-    /// outside the lock protecting this GTM and settle it with
-    /// [`Gtm::commit_solo_finish`].
+    /// Members a fused flush could not decide (a constraint violation
+    /// somewhere in a batch of several): each is still parked and owed a
+    /// solo flush, settled as a one-member batch, so only the violators
+    /// abort.
     pub reflush: Vec<Sst>,
-    /// Merged effects of the settles above.
+    /// Merged effects of the settles above (waiter mail).
     pub effects: StepEffects,
 }
 
@@ -319,9 +321,10 @@ impl Gtm {
     }
 
     /// Installs a fault hook consulted at this manager's labeled commit
-    /// seams — the start of `commit_local` and each per-resource
-    /// reconciliation. `shard` tags the sites so plans can target one
-    /// shard of a sharded front-end; single-manager setups pass 0. The
+    /// seams — the start of each transaction's reconciliation in
+    /// [`Gtm::prepare`] and each per-resource reconciliation. `shard`
+    /// tags the sites so plans can target one shard of a sharded
+    /// front-end; single-manager setups pass 0. The
     /// engine's own seams (WAL append, SST apply) are installed
     /// separately via `Database::set_fault_hook`.
     pub fn set_fault_hook(&mut self, hook: SharedFaultHook, shard: u32) {
@@ -772,9 +775,9 @@ impl Gtm {
     // Algorithms 3–4: ⟨commit, X, A⟩ and ⟨commit, A⟩
     // ------------------------------------------------------------------
 
-    /// Commits `txn`: local commit on every touched resource
-    /// (reconciliation, Algorithm 3), then the global commit (Algorithm
-    /// 4) — the SST flushes every `X_new` to the LDBS atomically.
+    /// Commits `txn`: [`Gtm::prepare`] (reconciliation, Algorithm 3), one
+    /// solo SST through [`flush_sst`] (Algorithm 4's global commit), then
+    /// [`Gtm::settle`].
     ///
     /// Transient SST failures (I/O) are retried per
     /// [`GtmConfig::sst_retries`], each attempt charged
@@ -786,39 +789,39 @@ impl Gtm {
         txn: TxnId,
         now: Timestamp,
     ) -> PstmResult<(CommitResult, StepEffects)> {
-        let writes = match self.commit_local(txn, now)? {
-            LocalCommit::Prepared(writes) => writes,
-            LocalCommit::Aborted(reason, effects) => {
-                return Ok((CommitResult::Aborted(reason), effects));
-            }
+        let mut prepared = self.prepare(&[txn], now)?;
+        let Some(batch) = prepared.batch.take() else {
+            let reason = prepared.abort_reason().ok_or_else(|| {
+                PstmError::internal(format!("{txn} neither prepared nor aborted"))
+            })?;
+            return Ok((CommitResult::Aborted(reason), prepared.effects));
         };
-        self.settle_sst(Sst::new(txn, writes), now)
-    }
-
-    /// Global-commit tail shared by [`Gtm::commit`] and the per-member
-    /// fallback of [`Gtm::commit_group`]: attempt the SST (with retries),
-    /// then finish or abort the parked transaction accordingly.
-    fn settle_sst(&mut self, sst: Sst, now: Timestamp) -> PstmResult<(CommitResult, StepEffects)> {
-        // Global commit: one SST for all writes. Transient failures
-        // (I/O) are retried per the recovery policy; constraint
-        // violations are permanent.
-        let txn = sst.origin;
-        let write_count = sst.writes.len() as u32;
-        self.tracer.emit(now, TraceEvent::SstAttempt { txn, writes: write_count });
         let mut at = now;
-        let mut sst_result = sst.execute(&self.db, &self.bindings);
-        let mut attempts = 0;
-        while attempts < self.config.sst_retries && matches!(sst_result, Err(PstmError::Io(_))) {
-            attempts += 1;
-            // The retry is not free: the LDBS needs its back-off before
-            // the write set is resubmitted, and the committer pays it.
-            at += self.config.sst_retry_delay;
-            self.tracer.emit(at, TraceEvent::SstRetry { txn, attempt: attempts });
-            sst_result = sst.execute(&self.db, &self.bindings);
-        }
-        let busy = at.since(now);
-        let (result, mut effects) = self.commit_solo_finish(&sst, sst_result, at)?;
-        effects.sst_busy = busy;
+        let delay = self.config.sst_retry_delay;
+        let tracer = &self.tracer;
+        let flushed = flush_sst(
+            Flush::Solo(&batch.members[0]),
+            &self.db,
+            &self.bindings,
+            self.config.sst_retries,
+            None,
+            |event| {
+                // The retry is not free: the LDBS needs its back-off
+                // before the write set is resubmitted, and the committer
+                // pays it.
+                if matches!(event, TraceEvent::SstRetry { .. }) {
+                    at += delay;
+                }
+                tracer.emit(at, event);
+            },
+        );
+        let mut settled = self.settle(batch, Outcome::Flushed(flushed), at)?;
+        let (_, result) = settled
+            .settled
+            .pop()
+            .ok_or_else(|| PstmError::internal(format!("{txn} left unsettled")))?;
+        let mut effects = settled.effects;
+        effects.sst_busy = at.since(now);
         // Phase boundaries for span-emitting coordinators: reconciliation
         // runs entirely at `now` in virtual time; the SST phase covers the
         // first attempt through the last retry.
@@ -827,36 +830,11 @@ impl Gtm {
         Ok((result, effects))
     }
 
-    /// Solo flush for a member whose `SstAttempt` was already announced
-    /// (batch overflow, per-member reflush): execute with the configured
-    /// retries, then settle via [`Gtm::commit_solo_finish`]. Only for
-    /// coordinators that own this GTM outright — lock-holding callers
-    /// must execute the SST themselves, outside the lock.
-    fn solo_flush_settle(
-        &mut self,
-        sst: Sst,
-        now: Timestamp,
-    ) -> PstmResult<(CommitResult, StepEffects)> {
-        let mut at = now;
-        let mut flush = sst.execute(&self.db, &self.bindings);
-        let mut attempts = 0;
-        while attempts < self.config.sst_retries && matches!(flush, Err(PstmError::Io(_))) {
-            attempts += 1;
-            at += self.config.sst_retry_delay;
-            self.tracer.emit(at, TraceEvent::SstRetry { txn: sst.origin, attempt: attempts });
-            flush = sst.execute(&self.db, &self.bindings);
-        }
-        let (result, mut effects) = self.commit_solo_finish(&sst, flush, at)?;
-        effects.sst_busy += at.since(now);
-        Ok((result, effects))
-    }
-
     /// The resources `txn` currently holds **mutating** grants on — the
-    /// conservative write-set estimate a group-commit station needs for
-    /// its disjointness cut *before* reconciliation computes the real
-    /// writes (reconciliation can only shrink the set, never grow it).
-    #[must_use]
-    pub fn mutated_resources(&self, txn: TxnId) -> Vec<ResourceId> {
+    /// conservative write-set estimate the disjointness cut needs
+    /// *before* reconciliation computes the real writes (reconciliation
+    /// can only shrink the set, never grow it).
+    fn mutated_resources(&self, txn: TxnId) -> Vec<ResourceId> {
         self.txns
             .get(&txn)
             .map(|rec| {
@@ -865,262 +843,69 @@ impl Gtm {
             .unwrap_or_default()
     }
 
-    /// Group commit (the batched form of [`Gtm::commit`]): fuses members
-    /// with pairwise-disjoint write sets into [`SstBatch`]es and flushes
-    /// each batch as **one** SST attempt instead of one per member.
+    /// Step one of every commit (Algorithm 3): reconciles `txns` in order
+    /// and parks them, in `Committing`, in one batch for a single flush.
+    /// A cross-shard commit calls it with `&[txn]` on each shard; the
+    /// group-commit station with a whole wave.
     ///
-    /// The disjointness cut happens *before* any member reconciles, on
-    /// the conservative [`Gtm::mutated_resources`] estimate. Order
-    /// matters: reconciliation (in [`Gtm::commit_local`]) reads the
-    /// current permanent state, so a member whose writes overlap an
-    /// earlier member's must not reconcile until that member's SST has
-    /// applied — cutting only at flush time would fuse a stale
-    /// reconciliation and lose an update. An overlap therefore closes the
-    /// current group; reconcile → flush runs group by group.
+    /// The disjointness cut happens *before* a member reconciles, on the
+    /// conservative estimate of its mutating grants: reconciliation
+    /// reads the current permanent state, so a member whose writes
+    /// overlap a parked member's must not reconcile until that member's
+    /// SST has applied — cutting only at flush time would fuse a stale
+    /// reconciliation and lose an update. Such a member is **deferred**
+    /// untouched. Members that abort during reconciliation settle
+    /// immediately and constrain nobody.
     ///
-    /// Retry accounting is per *batch* attempt: a transiently-failing
-    /// fused flush charges [`GtmConfig::sst_retry_delay`] once per retry
-    /// for the whole group, not once per member. A fused constraint
-    /// violation falls back to settling members individually, so only the
-    /// violating members abort. Returns each member's fate plus the
-    /// merged side effects.
-    pub fn commit_group(
-        &mut self,
-        txns: &[TxnId],
-        now: Timestamp,
-    ) -> PstmResult<(Vec<(TxnId, CommitResult)>, StepEffects)> {
-        let mut results = Vec::with_capacity(txns.len());
-        let mut effects = StepEffects::none();
-        let mut remaining: Vec<TxnId> = txns.to_vec();
-        // `at` advances only by per-*batch* retry charges, so deferred
-        // members reconcile at a time after the flush they overlapped.
-        let mut at = now;
-        while !remaining.is_empty() {
-            let local = self.commit_group_local(&remaining, at)?;
-            results.extend(local.settled);
-            effects.merge(local.effects);
-            // Batch-rejected members get their solo flush here — this
-            // coordinator owns the GTM outright, so there is no lock to
-            // release around the device round-trip.
-            for sst in local.overflow {
-                let txn = sst.origin;
-                let (r, e) = self.solo_flush_settle(sst, at)?;
-                effects.merge(e);
-                results.push((txn, r));
-            }
-            let Some(batch) = local.batch else {
-                // No batch ⇒ nothing parked ⇒ nothing deferred (the cut
-                // only defers against parked members' estimates).
-                debug_assert!(local.deferred.is_empty());
-                break;
-            };
-            let mut flush = batch.execute(&self.db, &self.bindings);
-            let mut attempts = 0;
-            while attempts < self.config.sst_retries && matches!(flush, Err(PstmError::Io(_))) {
-                attempts += 1;
-                at += self.config.sst_retry_delay;
-                self.tracer.emit(at, TraceEvent::SstRetry { txn: batch.leader, attempt: attempts });
-                flush = batch.execute(&self.db, &self.bindings);
-            }
-            let fin = self.commit_group_finish(batch, flush, at)?;
-            results.extend(fin.settled);
-            effects.merge(fin.effects);
-            for sst in fin.reflush {
-                let txn = sst.origin;
-                let (r, e) = self.solo_flush_settle(sst, at)?;
-                effects.merge(e);
-                results.push((txn, r));
-            }
-            remaining = local.deferred;
-        }
-        // Merge (not assign): fallback settles above already folded their
-        // own busy time and spans into `effects`.
-        let mut stamps = StepEffects::none();
-        stamps.sst_busy = at.since(now);
-        stamps.reconcile_span = Some((now, now));
-        stamps.sst_span = Some((now, at));
-        effects.merge(stamps);
-        Ok((results, effects))
-    }
-
-    /// Phase one of a split group commit: the reconcile-and-park half of
-    /// [`Gtm::commit_group`], for coordinators that must flush **outside**
-    /// the lock protecting this GTM (the front-end's group-commit station
-    /// releases the shard while the fused batch pays the device
-    /// round-trip, so waiting committers can keep executing).
-    ///
-    /// Walks `txns` in arrival order: a member whose pre-reconcile write
-    /// estimate ([`Gtm::mutated_resources`]) is disjoint from every
-    /// already-parked member reconciles ([`Gtm::commit_local`]) and joins
-    /// the fused batch; an overlapping member is **deferred** untouched —
-    /// its reconciliation reads permanent state, so it must not run until
-    /// the batch it overlaps has applied. Members that abort during
-    /// reconciliation settle immediately.
-    ///
-    /// The caller owns the returned batch's members (they are parked in
-    /// `Committing`) and MUST settle them with [`Gtm::commit_group_finish`]
-    /// after attempting the flush — on the same GTM, before reconciling
-    /// anything else on it. Deferred transactions stay fully active and
-    /// can be resubmitted once the flush lands.
-    pub fn commit_group_local(&mut self, txns: &[TxnId], now: Timestamp) -> PstmResult<GroupLocal> {
-        let mut settled = Vec::new();
-        let mut effects = StepEffects::none();
-        let mut deferred = Vec::new();
-        let mut overflow = Vec::new();
-        let mut batch: Option<SstBatch> = None;
+    /// The caller owns the parked batch and MUST hand its flush outcome
+    /// to [`Gtm::settle`] on the same GTM before preparing anything else
+    /// on it.
+    pub fn prepare(&mut self, txns: &[TxnId], now: Timestamp) -> PstmResult<Prepared> {
+        let mut prepared = Prepared {
+            settled: Vec::new(),
+            batch: None,
+            deferred: Vec::new(),
+            effects: StepEffects::none(),
+        };
         let mut held: Vec<ResourceId> = Vec::new();
         for &txn in txns {
             let mutated = self.mutated_resources(txn);
             if mutated.iter().any(|r| held.contains(r)) {
-                deferred.push(txn);
+                prepared.deferred.push(txn);
                 continue;
             }
-            match self.commit_local(txn, now)? {
-                LocalCommit::Prepared(writes) => {
-                    let sst = Sst::new(txn, writes);
-                    match batch.as_mut() {
-                        // Disjoint by construction: real writes are a
-                        // subset of the mutating grants the cut used.
-                        // Should the estimate ever lie, the member is
-                        // handed back for a solo flush — never executed
-                        // here, under the caller's lock.
-                        Some(b) => {
-                            if let Err(rejected) = b.push(sst) {
-                                self.tracer.emit(
-                                    now,
-                                    TraceEvent::SstAttempt {
-                                        txn,
-                                        writes: rejected.writes.len() as u32,
-                                    },
-                                );
-                                overflow.push(rejected);
-                                held.extend(mutated);
-                                continue;
-                            }
-                        }
-                        None => batch = Some(SstBatch::of(sst)),
-                    }
-                    held.extend(mutated);
+            let writes = match self.reconcile_txn(txn, now, &mut prepared.effects)? {
+                Ok(writes) => writes,
+                Err(reason) => {
+                    prepared.settled.push((txn, CommitResult::Aborted(reason)));
+                    continue;
                 }
-                LocalCommit::Aborted(reason, e) => {
-                    // An aborted member parks nothing: its resources are
-                    // released, so it constrains no later member.
-                    effects.merge(e);
-                    settled.push((txn, CommitResult::Aborted(reason)));
-                }
+            };
+            let sst = Sst::new(txn, writes);
+            match prepared.batch.as_mut() {
+                None => prepared.batch = Some(SstBatch::of(sst)),
+                // Real writes are a subset of the mutating grants the cut
+                // kept disjoint, so the batch cannot refuse a member.
+                Some(batch) => batch.push(sst).map_err(|sst| {
+                    PstmError::internal(format!("{} overlaps its batch past the cut", sst.origin))
+                })?,
             }
+            held.extend(mutated);
         }
-        if let Some(b) = &batch {
-            for m in &b.members {
-                self.tracer.emit(
-                    now,
-                    TraceEvent::SstAttempt { txn: m.origin, writes: m.writes.len() as u32 },
-                );
-            }
-            self.tracer
-                .emit(now, TraceEvent::GroupCommit { leader: b.leader, members: b.len() as u32 });
-        }
-        Ok(GroupLocal { settled, batch, deferred, overflow, effects })
+        Ok(prepared)
     }
 
-    /// Phase two of a split group commit: settles every member of `batch`
-    /// according to the fused flush's outcome. `Ok` finishes all members;
-    /// a constraint/type violation hands every member back as `reflush` —
-    /// each is owed a solo flush (executed by the caller, outside the
-    /// lock protecting this GTM) so only the violators abort; an I/O
-    /// failure aborts all members with `SstFailure`. A `Crashed` flush
-    /// propagates untouched — the simulated process is dead and the
-    /// members' parked state dies with it, exactly as in the unbatched
-    /// coordinated path.
-    pub fn commit_group_finish(
+    /// Reconciles one transaction (Algorithm 3): moves it to
+    /// `Committing` and returns the writes its SST must flush. A local
+    /// failure aborts the transaction on the spot — it must never strand
+    /// in `Committing` — merging the unwind into `effects` and coming
+    /// back as `Err(reason)`.
+    fn reconcile_txn(
         &mut self,
-        batch: SstBatch,
-        flush: PstmResult<()>,
+        txn: TxnId,
         now: Timestamp,
-    ) -> PstmResult<GroupFinish> {
-        let mut settled = Vec::with_capacity(batch.len());
-        let mut reflush = Vec::new();
-        let mut effects = StepEffects::none();
-        match flush {
-            Ok(()) => {
-                for m in &batch.members {
-                    if !m.is_empty() {
-                        self.tracer.emit(now, TraceEvent::SstApplied { txn: m.origin });
-                    }
-                    effects.merge(self.commit_finish(m.origin, now)?);
-                    settled.push((m.origin, CommitResult::Committed));
-                }
-            }
-            Err(PstmError::ConstraintViolation { .. }) | Err(PstmError::TypeMismatch { .. }) => {
-                // Per-transaction abort unwind: some member's reconciled
-                // value broke a constraint. Each member needs its own
-                // flush to tell violator from victim — hand them back
-                // rather than paying device round-trips under the lock.
-                for m in batch.members {
-                    self.tracer.emit(
-                        now,
-                        TraceEvent::SstAttempt { txn: m.origin, writes: m.writes.len() as u32 },
-                    );
-                    reflush.push(m);
-                }
-            }
-            Err(PstmError::Io(_)) => {
-                for m in &batch.members {
-                    effects.merge(self.commit_abort(m.origin, AbortReason::SstFailure, now)?);
-                    settled.push((m.origin, CommitResult::Aborted(AbortReason::SstFailure)));
-                }
-            }
-            Err(e) => return Err(e),
-        }
-        Ok(GroupFinish { settled, reflush, effects })
-    }
-
-    /// Settles one parked member from the outcome of a **solo** flush the
-    /// caller executed (the flush itself must run outside the lock
-    /// protecting this GTM — see [`GroupLocal::overflow`] and
-    /// [`GroupFinish::reflush`]). `Ok` finishes the member; a constraint
-    /// or type violation aborts it with `Constraint`; an I/O failure
-    /// aborts it with `SstFailure`; anything else propagates.
-    pub fn commit_solo_finish(
-        &mut self,
-        sst: &Sst,
-        flush: PstmResult<()>,
-        now: Timestamp,
-    ) -> PstmResult<(CommitResult, StepEffects)> {
-        let txn = sst.origin;
-        match flush {
-            Ok(()) => {
-                if !sst.is_empty() {
-                    self.tracer.emit(now, TraceEvent::SstApplied { txn });
-                }
-                Ok((CommitResult::Committed, self.commit_finish(txn, now)?))
-            }
-            Err(PstmError::ConstraintViolation { .. }) | Err(PstmError::TypeMismatch { .. }) => {
-                // §VII problem 2: reconciliation violated an integrity
-                // constraint (or produced a value the column's declared
-                // type rejects) — the transaction aborts.
-                let reason = AbortReason::Constraint;
-                Ok((CommitResult::Aborted(reason), self.commit_abort(txn, reason, now)?))
-            }
-            Err(PstmError::Io(_)) => {
-                // Persistent SST failure: §VII's open problem. Nothing
-                // reached the database (the write set is all-or-nothing),
-                // so cleanup is pure bookkeeping.
-                let reason = AbortReason::SstFailure;
-                Ok((CommitResult::Aborted(reason), self.commit_abort(txn, reason, now)?))
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Phase one of a coordinated commit (Algorithm 3): moves the
-    /// transaction to `Committing`, reconciles every touched resource and
-    /// returns the writes the global commit must flush. On success the
-    /// transaction is *parked* — the coordinator owns it until it calls
-    /// [`Gtm::commit_finish`] (SST applied) or [`Gtm::commit_abort`] (SST
-    /// failed). A local failure aborts the transaction immediately — it
-    /// must never strand in `Committing`.
-    pub fn commit_local(&mut self, txn: TxnId, now: Timestamp) -> PstmResult<LocalCommit> {
+        effects: &mut StepEffects,
+    ) -> PstmResult<Result<Vec<(ResourceId, Value)>, AbortReason>> {
         // The whole local commit is the reconcile phase; a failed commit's
         // unwind (abort_internal) carves out its own AbortUnwind time.
         let _phase = prof::PhaseTimer::start(CommitPhase::Reconcile);
@@ -1172,7 +957,7 @@ impl Gtm {
             Ok(writes)
         })();
         let reason = match local_result {
-            Ok(writes) => return Ok(LocalCommit::Prepared(writes)),
+            Ok(writes) => return Ok(Ok(writes)),
             // Reconciliation failed in the value domain (overflow, zero
             // snapshot for mul/div, a result the column type rejects):
             // the transaction dies.
@@ -1182,17 +967,73 @@ impl Gtm {
             Err(PstmError::Io(_)) => AbortReason::SstFailure,
             Err(e) => return Err(e),
         };
-        let (_, mut effects) = self.finish_failed_commit(txn, &touched, reason, now)?;
+        let mut unwind = self.unpark(txn, reason, now)?;
         // Reconciliation ran (and failed) at `now`.
-        effects.reconcile_span = Some((now, now));
-        Ok(LocalCommit::Aborted(reason, effects))
+        unwind.reconcile_span = Some((now, now));
+        effects.merge(unwind);
+        Ok(Err(reason))
     }
 
-    /// Phase two (success) of a coordinated commit (Algorithm 4's tail):
-    /// the coordinator's SST applied, so mark the transaction committed,
-    /// record history and run promotions. Requires the transaction to be
-    /// parked in `Committing` by a prior [`Gtm::commit_local`].
-    pub fn commit_finish(&mut self, txn: TxnId, now: Timestamp) -> PstmResult<StepEffects> {
+    /// Step three of every commit (Algorithm 4's tail): decides each
+    /// member of `batch` from its flush's `outcome`.
+    ///
+    /// - applied: every member finishes (committed marks, history,
+    ///   promotions);
+    /// - a constraint or type violation: in a batch of several members
+    ///   nobody can tell violator from victim, so every member comes back
+    ///   in [`Settled::reflush`], still parked; a one-member batch's
+    ///   member is the violator and aborts with `Constraint`;
+    /// - a crash propagates untouched — the simulated process is dead and
+    ///   the parked state dies with it;
+    /// - any other failure (I/O past the retries, an engine error):
+    ///   nothing reached the database, so every member aborts with
+    ///   `SstFailure`;
+    /// - [`Outcome::Unwound`]: every member aborts with the given reason.
+    pub fn settle(
+        &mut self,
+        batch: SstBatch,
+        outcome: Outcome,
+        now: Timestamp,
+    ) -> PstmResult<Settled> {
+        let mut out =
+            Settled { settled: Vec::new(), reflush: Vec::new(), effects: StepEffects::none() };
+        let reason = match outcome {
+            Outcome::Flushed(Ok(())) => {
+                for m in &batch.members {
+                    out.effects.merge(self.finish_commit(m.origin, now)?);
+                    out.settled.push((m.origin, CommitResult::Committed));
+                }
+                return Ok(out);
+            }
+            Outcome::Flushed(Err(
+                PstmError::ConstraintViolation { .. } | PstmError::TypeMismatch { .. },
+            )) if batch.len() > 1 => {
+                out.reflush = batch.members;
+                return Ok(out);
+            }
+            // §VII problem 2: reconciliation violated an integrity
+            // constraint (or produced a value the column's declared type
+            // rejects) — the transaction aborts.
+            Outcome::Flushed(Err(
+                PstmError::ConstraintViolation { .. } | PstmError::TypeMismatch { .. },
+            )) => AbortReason::Constraint,
+            Outcome::Flushed(Err(e @ PstmError::Crashed(_))) => return Err(e),
+            // Persistent SST failure: §VII's open problem. Nothing reached
+            // the database (the write set is all-or-nothing), so cleanup
+            // is pure bookkeeping.
+            Outcome::Flushed(Err(_)) => AbortReason::SstFailure,
+            Outcome::Unwound(reason) => reason,
+        };
+        for m in &batch.members {
+            out.effects.merge(self.unpark(m.origin, reason, now)?);
+            out.settled.push((m.origin, CommitResult::Aborted(reason)));
+        }
+        Ok(out)
+    }
+
+    /// A parked transaction's SST applied: mark it committed, record
+    /// history and run promotions.
+    fn finish_commit(&mut self, txn: TxnId, now: Timestamp) -> PstmResult<StepEffects> {
         // History, committed marks, promotions: bookkeeping.
         let _phase = prof::PhaseTimer::start(CommitPhase::OpBookkeeping);
         let record = self.txn_mut(txn)?;
@@ -1224,49 +1065,27 @@ impl Gtm {
         self.promote_all(touched.iter().map(|(r, _)| *r).collect(), now)
     }
 
-    /// Phase two (failure) of a coordinated commit: the coordinator's SST
-    /// failed, so clear the committing marks and abort. Requires the
-    /// transaction to be parked in `Committing` by a prior
-    /// [`Gtm::commit_local`]. The transaction's own fate is *not* in the
-    /// returned effects — the coordinator already knows it.
-    pub fn commit_abort(
+    /// A parked transaction's commit failed — in reconciliation, in its
+    /// flush, or on a sibling shard: clear the committing marks and abort
+    /// it. Its own fate is *not* in the returned effects — the caller
+    /// already knows it.
+    fn unpark(
         &mut self,
         txn: TxnId,
         reason: AbortReason,
         now: Timestamp,
     ) -> PstmResult<StepEffects> {
-        let record = self.txn_mut(txn)?;
-        if record.state != TxnState::Committing {
+        let state = self.txn_mut(txn)?.state;
+        if state != TxnState::Committing {
             return Err(PstmError::InvalidState {
                 txn,
                 action: "commit-abort",
-                state: record.state.name(),
+                state: state.name(),
             });
-        }
-        let touched: Vec<(ResourceId, OpClass)> =
-            record.classes.iter().map(|(r, c)| (*r, *c)).collect();
-        let (_, effects) = self.finish_failed_commit(txn, &touched, reason, now)?;
-        Ok(effects)
-    }
-
-    /// Common tail of every failed global commit: clear the committing
-    /// marks, abort the transaction, and report its fate through the
-    /// return value rather than `StepEffects`.
-    fn finish_failed_commit(
-        &mut self,
-        txn: TxnId,
-        touched: &[(ResourceId, OpClass)],
-        reason: AbortReason,
-        now: Timestamp,
-    ) -> PstmResult<(CommitResult, StepEffects)> {
-        for (resource, _) in touched {
-            let rs = self.resources.entry(*resource).or_default();
-            rs.committing.remove(&txn);
-            rs.new.remove(&txn);
         }
         let mut effects = self.abort_internal(txn, reason, AbortOrigin::Commit, now)?;
         effects.aborted.retain(|(t, _)| *t != txn);
-        Ok((CommitResult::Aborted(reason), effects))
+        Ok(effects)
     }
 
     // ------------------------------------------------------------------

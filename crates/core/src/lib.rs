@@ -35,7 +35,7 @@ pub mod sst;
 pub mod state;
 
 pub use dependence::DependenceMap;
-pub use gtm::{CommitResult, Gtm, GtmConfig, GtmStats, LocalCommit};
+pub use gtm::{CommitResult, Gtm, GtmConfig, GtmStats, Outcome, Prepared, Settled};
 pub use policy::{AdmissionPolicy, StarvationPolicy};
-pub use sst::Sst;
+pub use sst::{flush_sst, Flush, Sst, SstBatch};
 pub use state::TxnState;

@@ -8,8 +8,9 @@
 //! §VII "high rate of aborts" problem), the whole global commit fails and
 //! the GTM aborts the transaction.
 
+use pstm_obs::TraceEvent;
 use pstm_storage::{BindingRegistry, Database, WriteOp, WriteSet};
-use pstm_types::{PstmResult, ResourceId, TxnId, Value};
+use pstm_types::{PstmError, PstmResult, ResourceId, TxnId, Value};
 
 /// A prepared Secure System Transaction.
 #[derive(Clone, Debug, PartialEq)]
@@ -55,22 +56,33 @@ impl Sst {
     /// abort.
     // pstm-lockgraph: flush-point
     pub fn execute(&self, db: &Database, bindings: &BindingRegistry) -> PstmResult<()> {
-        if self.is_empty() {
-            return Ok(());
-        }
-        let mut ws = WriteSet::new();
-        for (resource, value) in &self.writes {
-            let b = bindings.resolve(*resource)?;
-            ws = ws.with(WriteOp::Update {
-                table: b.table,
-                row_id: b.row,
-                column: b.column,
-                value: value.clone(),
-            });
-        }
-        db.apply_write_set(self.engine_txn(), &ws)?;
-        Ok(())
+        apply_writes(db, bindings, self.engine_txn(), &self.writes)
     }
+}
+
+/// Applies `writes` as one atomic engine write set under `engine_txn`;
+/// nothing to write is a no-op.
+fn apply_writes(
+    db: &Database,
+    bindings: &BindingRegistry,
+    engine_txn: TxnId,
+    writes: &[(ResourceId, Value)],
+) -> PstmResult<()> {
+    if writes.is_empty() {
+        return Ok(());
+    }
+    let mut ws = WriteSet::new();
+    for (resource, value) in writes {
+        let b = bindings.resolve(*resource)?;
+        ws = ws.with(WriteOp::Update {
+            table: b.table,
+            row_id: b.row,
+            column: b.column,
+            value: value.clone(),
+        });
+    }
+    db.apply_write_set(engine_txn, &ws)?;
+    Ok(())
 }
 
 /// A fused SST batch: N ready commits on one shard flushed as **one**
@@ -78,7 +90,7 @@ impl Sst {
 /// atomic apply — instead of N.
 ///
 /// Members must have pairwise-disjoint write sets (enforced by
-/// [`SstBatch::push`]): every member's `commit_local` reconciled against
+/// [`SstBatch::push`]): every member's reconciliation ran against
 /// the pre-batch permanent image, so two members writing one resource
 /// would silently drop the earlier member's update (a lost update).
 /// Overlapping candidates cut the group instead and flush separately.
@@ -151,23 +163,76 @@ impl SstBatch {
     pub fn execute(&self, db: &Database, bindings: &BindingRegistry) -> PstmResult<()> {
         let mut writes: Vec<(ResourceId, Value)> =
             self.members.iter().flat_map(|m| m.writes.iter().cloned()).collect();
-        if writes.is_empty() {
-            return Ok(());
-        }
         writes.sort_by_key(|(r, _)| *r);
-        let mut ws = WriteSet::new();
-        for (resource, value) in &writes {
-            let b = bindings.resolve(*resource)?;
-            ws = ws.with(WriteOp::Update {
-                table: b.table,
-                row_id: b.row,
-                column: b.column,
-                value: value.clone(),
-            });
-        }
-        db.apply_write_set(self.engine_txn(), &ws)?;
-        Ok(())
+        apply_writes(db, bindings, self.engine_txn(), &writes)
     }
+}
+
+/// What one flush sends to the engine.
+#[derive(Clone, Copy, Debug)]
+pub enum Flush<'a> {
+    /// One SST under its own engine id ([`Sst::engine_txn`]): the
+    /// unbatched and cross-shard commits, and per-member reflushes.
+    Solo(&'a Sst),
+    /// A fused batch under its leader's batch id
+    /// ([`SstBatch::engine_txn`]): every group-commit wave, singletons
+    /// included.
+    Fused(&'a SstBatch),
+}
+
+/// The one SST flush every commit route runs — Algorithm 4's global
+/// commit between [`crate::gtm::Gtm::prepare`] and
+/// [`crate::gtm::Gtm::settle`]. Executes `unit`, retrying transient I/O
+/// failures up to `retries` times; any other outcome is final.
+///
+/// Everything the flush has to say goes through `report`, in order: one
+/// `SstAttempt` per member (plus one `GroupCommit` for a fused batch),
+/// one `SstRetry` before each retry, and on success one `SstApplied` per
+/// member with writes. The retry back-off belongs to the caller: `report`
+/// pays it when handed an `SstRetry` — a wall-clock pause in the
+/// front-end, a virtual-time charge in the GTM and the chaos harness.
+///
+/// `injected` fails the first attempt without reaching the engine (a
+/// fault seam's transient I/O just before the SST); retries still run.
+/// Callers must hold no shard lock: this pays the device round-trip.
+pub fn flush_sst(
+    unit: Flush<'_>,
+    db: &Database,
+    bindings: &BindingRegistry,
+    retries: u32,
+    injected: Option<PstmError>,
+    mut report: impl FnMut(TraceEvent),
+) -> PstmResult<()> {
+    let (members, leader) = match unit {
+        Flush::Solo(sst) => (std::slice::from_ref(sst), sst.origin),
+        Flush::Fused(batch) => (batch.members.as_slice(), batch.leader),
+    };
+    for m in members {
+        report(TraceEvent::SstAttempt { txn: m.origin, writes: m.writes.len() as u32 });
+    }
+    if let Flush::Fused(batch) = unit {
+        report(TraceEvent::GroupCommit { leader, members: batch.len() as u32 });
+    }
+    let execute = || match unit {
+        Flush::Solo(sst) => sst.execute(db, bindings),
+        Flush::Fused(batch) => batch.execute(db, bindings),
+    };
+    let mut result = match injected {
+        Some(e) => Err(e),
+        None => execute(),
+    };
+    let mut attempts = 0;
+    while attempts < retries && matches!(result, Err(PstmError::Io(_))) {
+        attempts += 1;
+        report(TraceEvent::SstRetry { txn: leader, attempt: attempts });
+        result = execute();
+    }
+    if result.is_ok() {
+        for m in members.iter().filter(|m| !m.is_empty()) {
+            report(TraceEvent::SstApplied { txn: m.origin });
+        }
+    }
+    result
 }
 
 #[cfg(test)]

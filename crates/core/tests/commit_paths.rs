@@ -1,15 +1,17 @@
-//! Commit-path coverage: the eq. 2 exactness regression, the phased
-//! commit API the sharded front-end drives, and failure-path bookkeeping
-//! (mid-loop reconciliation errors, admission headroom after SST aborts).
+//! Commit-path coverage: the eq. 2 exactness regression, the
+//! prepare → flush → settle protocol every coordinator drives, and
+//! failure-path bookkeeping (mid-loop reconciliation errors, cross-shard
+//! unwinds, admission headroom after SST aborts).
 
-use pstm_core::gtm::{CommitResult, Gtm, GtmConfig, LocalCommit};
+use pstm_core::gtm::{CommitResult, Gtm, GtmConfig, Outcome};
 use pstm_core::policy::AdmissionPolicy;
-use pstm_core::sst::Sst;
+use pstm_core::sst::{flush_sst, Flush, Sst, SstBatch};
 use pstm_core::TxnState;
+use pstm_obs::TraceEvent;
 use pstm_storage::{BindingRegistry, ColumnDef, Constraint, Database, Row, TableSchema};
 use pstm_types::{
-    AbortReason, ExecOutcome, MemberId, PstmError, ResourceId, ScalarOp, Timestamp, TxnId, Value,
-    ValueKind,
+    AbortReason, Duration, ExecOutcome, MemberId, PstmError, ResourceId, ScalarOp, Timestamp,
+    TxnId, Value, ValueKind,
 };
 use std::sync::Arc;
 
@@ -51,6 +53,48 @@ fn setup(n: usize, initial: i64, config: GtmConfig) -> (Gtm, Vec<ResourceId>) {
 fn value_of(gtm: &Gtm, r: ResourceId) -> Value {
     let b = gtm.bindings().resolve(r).unwrap();
     gtm.database().get_col(b.table, b.row, b.column).unwrap()
+}
+
+/// One flush of `unit` with no retries.
+fn flush_once(gtm: &Gtm, unit: Flush<'_>) -> Result<(), PstmError> {
+    flush_sst(unit, gtm.database(), gtm.bindings(), 0, None, |_| {})
+}
+
+/// The group-commit station on a virtual clock, built from the three
+/// commit steps: prepare the remaining members, flush the fused batch
+/// (each retry charging `delay`), settle, reflush solo whatever a
+/// constraint violation hands back, and repeat for the deferred. Returns
+/// every member's fate and the total retry charge.
+fn commit_group(
+    gtm: &mut Gtm,
+    txns: &[TxnId],
+    now: Timestamp,
+    retries: u32,
+    delay: Duration,
+) -> (Vec<(TxnId, CommitResult)>, Duration) {
+    let mut results = Vec::new();
+    let mut at = now;
+    let mut remaining = txns.to_vec();
+    while !remaining.is_empty() {
+        let prepared = gtm.prepare(&remaining, at).unwrap();
+        results.extend(prepared.settled);
+        remaining = prepared.deferred;
+        let Some(batch) = prepared.batch else { break };
+        let flushed =
+            flush_sst(Flush::Fused(&batch), gtm.database(), gtm.bindings(), retries, None, |e| {
+                if matches!(e, TraceEvent::SstRetry { .. }) {
+                    at += delay;
+                }
+            });
+        let settled = gtm.settle(batch, Outcome::Flushed(flushed), at).unwrap();
+        results.extend(settled.settled);
+        for sst in settled.reflush {
+            let solo = flush_once(gtm, Flush::Solo(&sst));
+            results
+                .extend(gtm.settle(SstBatch::of(sst), Outcome::Flushed(solo), at).unwrap().settled);
+        }
+    }
+    (results, at.since(now))
 }
 
 #[test]
@@ -110,32 +154,32 @@ fn truly_inexact_eq2_result_aborts_as_constraint_not_hard_error() {
 }
 
 #[test]
-fn phased_commit_local_sst_finish_round_trip() {
-    // The front-end's cross-shard path: commit_local parks the txn in
-    // Committing and hands back the writes; the coordinator runs the SST
-    // itself; commit_finish completes bookkeeping and promotions.
+fn phased_prepare_flush_settle_round_trip() {
+    // The coordinated path: prepare parks the txn in Committing and
+    // hands back its writes; the coordinator runs the SST itself; settle
+    // completes bookkeeping and promotions.
     let (mut gtm, res) = setup(1, 100, GtmConfig::default());
     gtm.begin(t(1), T0).unwrap();
     gtm.execute(t(1), res[0], ScalarOp::Sub(Value::Int(1)), T0).unwrap();
 
-    let writes = match gtm.commit_local(t(1), ts(1.0)).unwrap() {
-        LocalCommit::Prepared(w) => w,
-        other => panic!("expected Prepared, got {other:?}"),
-    };
-    assert_eq!(writes, vec![(res[0], Value::Int(99))]);
+    let prepared = gtm.prepare(&[t(1)], ts(1.0)).unwrap();
+    assert!(prepared.settled.is_empty() && prepared.deferred.is_empty());
+    let batch = prepared.batch.expect("one parked member");
+    assert_eq!(batch.members[0].writes, vec![(res[0], Value::Int(99))]);
     assert_eq!(gtm.state(t(1)), Some(TxnState::Committing));
 
-    // While parked, neither commit_finish-after-terminal nor a second
-    // commit_local is possible.
+    // While parked, a second prepare is impossible.
     assert!(matches!(
-        gtm.commit_local(t(1), ts(1.0)),
+        gtm.prepare(&[t(1)], ts(1.0)),
         Err(PstmError::InvalidState { action: "commit", .. })
     ));
 
-    let sst = Sst::new(t(1), writes);
-    sst.execute(gtm.database(), gtm.bindings()).unwrap();
-    let fx = gtm.commit_finish(t(1), ts(1.0)).unwrap();
-    assert!(fx.is_empty());
+    let sst = Sst::new(t(1), batch.members[0].writes.clone());
+    flush_once(&gtm, Flush::Solo(&sst)).unwrap();
+    let settled = gtm.settle(batch, Outcome::Flushed(Ok(())), ts(1.0)).unwrap();
+    assert_eq!(settled.settled, vec![(t(1), CommitResult::Committed)]);
+    assert!(settled.reflush.is_empty());
+    assert!(settled.effects.is_empty());
     assert_eq!(gtm.state(t(1)), Some(TxnState::Committed));
     assert_eq!(value_of(&gtm, res[0]), Value::Int(99));
     gtm.verify_serializable().unwrap();
@@ -143,9 +187,9 @@ fn phased_commit_local_sst_finish_round_trip() {
 }
 
 #[test]
-fn phased_commit_abort_releases_and_promotes() {
+fn phased_settle_failure_releases_and_promotes() {
     // A parked transaction whose coordinator's SST failed must release
-    // its resources to waiters when commit_abort cleans it up.
+    // its resources to waiters when settle aborts it.
     let (mut gtm, res) = setup(1, 100, GtmConfig::default());
     gtm.begin(t(1), T0).unwrap();
     gtm.execute(t(1), res[0], ScalarOp::Assign(Value::Int(7)), T0).unwrap();
@@ -153,11 +197,11 @@ fn phased_commit_abort_releases_and_promotes() {
     let (o, _) = gtm.execute(t(2), res[0], ScalarOp::Assign(Value::Int(8)), T0).unwrap();
     assert_eq!(o, ExecOutcome::Waiting);
 
-    match gtm.commit_local(t(1), ts(1.0)).unwrap() {
-        LocalCommit::Prepared(_) => {}
-        other => panic!("expected Prepared, got {other:?}"),
-    }
-    let fx = gtm.commit_abort(t(1), AbortReason::SstFailure, ts(1.0)).unwrap();
+    let batch = gtm.prepare(&[t(1)], ts(1.0)).unwrap().batch.expect("parked");
+    let io = Outcome::Flushed(Err(PstmError::Io("device gone".into())));
+    let settled = gtm.settle(batch, io.clone(), ts(1.0)).unwrap();
+    assert_eq!(settled.settled, vec![(t(1), CommitResult::Aborted(AbortReason::SstFailure))]);
+    let fx = settled.effects;
     assert_eq!(gtm.state(t(1)), Some(TxnState::Aborted));
     assert!(!fx.aborted.iter().any(|(x, _)| *x == t(1)), "own fate is not a side effect");
     assert_eq!(fx.resumed.len(), 1, "the waiter takes over the released resource");
@@ -165,11 +209,77 @@ fn phased_commit_abort_releases_and_promotes() {
     assert_eq!(value_of(&gtm, res[0]), Value::Int(100), "nothing reached the LDBS");
     gtm.check_invariants().unwrap();
 
-    // commit_abort outside the Committing window is an invalid state.
+    // Settling a transaction outside the Committing window is an
+    // invalid state.
+    let stray = SstBatch::of(Sst::new(t(2), vec![]));
     assert!(matches!(
-        gtm.commit_abort(t(2), AbortReason::SstFailure, ts(2.0)),
+        gtm.settle(stray, io, ts(2.0)),
         Err(PstmError::InvalidState { action: "commit-abort", .. })
     ));
+}
+
+#[test]
+fn one_member_batch_constraint_violation_aborts_without_reflush() {
+    // A one-member batch's violator is known: settle aborts it with
+    // Constraint on the spot instead of handing it back for a solo
+    // reflush.
+    let (mut gtm, res) = setup(1, 100, GtmConfig::default());
+    gtm.begin(t(1), T0).unwrap();
+    gtm.execute(t(1), res[0], ScalarOp::Sub(Value::Int(150)), T0).unwrap();
+
+    let batch = gtm.prepare(&[t(1)], ts(1.0)).unwrap().batch.expect("parked");
+    assert_eq!(batch.len(), 1);
+    let flushed = flush_once(&gtm, Flush::Fused(&batch));
+    assert!(matches!(flushed, Err(PstmError::ConstraintViolation { .. })));
+    let settled = gtm.settle(batch, Outcome::Flushed(flushed), ts(1.0)).unwrap();
+    assert!(settled.reflush.is_empty(), "no reflush for a known violator");
+    assert_eq!(settled.settled, vec![(t(1), CommitResult::Aborted(AbortReason::Constraint))]);
+    assert_eq!(gtm.state(t(1)), Some(TxnState::Aborted));
+    assert_eq!(value_of(&gtm, res[0]), Value::Int(100));
+    gtm.check_invariants().unwrap();
+}
+
+#[test]
+fn cross_shard_prepare_failure_unwinds_the_parked_shard() {
+    // Two shards over one database, as in the sharded front-end. T1
+    // spans both; shard B's prepare overflows, so shard A — already
+    // parked — must unwind with the same reason, releasing its waiter,
+    // and no resource on either shard may keep T1 in `committing`.
+    let (mut a, res) = setup(2, 100, GtmConfig::default());
+    let mut b = Gtm::new(a.database().clone(), a.bindings().clone(), GtmConfig::default());
+    let (r0, r1) = (res[0], res[1]);
+    a.begin(t(1), T0).unwrap();
+    b.begin(t(1), T0).unwrap();
+    a.execute(t(1), r0, ScalarOp::Add(Value::Int(5)), T0).unwrap();
+    b.execute(t(1), r1, ScalarOp::Add(Value::Int(i64::MAX - 200)), T0).unwrap();
+    // T2 moves r1's permanent value so T1's reconciliation overflows.
+    b.begin(t(2), T0).unwrap();
+    b.execute(t(2), r1, ScalarOp::Add(Value::Int(200)), T0).unwrap();
+    assert_eq!(b.commit(t(2), ts(1.0)).unwrap().0, CommitResult::Committed);
+    // T3 waits on r0 behind T1.
+    a.begin(t(3), T0).unwrap();
+    let (o, _) = a.execute(t(3), r0, ScalarOp::Assign(Value::Int(1)), T0).unwrap();
+    assert_eq!(o, ExecOutcome::Waiting);
+
+    let now = ts(2.0);
+    let parked = a.prepare(&[t(1)], now).unwrap().batch.expect("shard A parks T1");
+    let failed = b.prepare(&[t(1)], now).unwrap();
+    assert!(failed.batch.is_none());
+    let reason = failed.abort_reason().expect("shard B aborted T1");
+    assert_eq!(reason, AbortReason::Constraint);
+
+    let unwound = a.settle(parked, Outcome::Unwound(reason), now).unwrap();
+    assert_eq!(unwound.settled, vec![(t(1), CommitResult::Aborted(reason))]);
+    assert_eq!(unwound.effects.resumed.len(), 1, "the waiter on shard A is freed");
+    assert_eq!(unwound.effects.resumed[0].0, t(3));
+    for (gtm, r) in [(&a, r0), (&b, r1)] {
+        assert_eq!(gtm.state(t(1)), Some(TxnState::Aborted));
+        let rs = gtm.resource_state(r).expect("touched");
+        assert!(rs.committing.is_empty(), "{r:?} stranded in committing: {:?}", rs.committing);
+        gtm.check_invariants().unwrap();
+    }
+    assert_eq!(value_of(&a, r0), Value::Int(100), "nothing of T1 reached the LDBS");
+    assert_eq!(value_of(&a, r1), Value::Int(300));
 }
 
 #[test]
@@ -224,12 +334,12 @@ fn group_commit_fuses_disjoint_members_and_all_land() {
         gtm.execute(txn, *r, ScalarOp::Sub(Value::Int(i as i64 + 1)), T0).unwrap();
     }
 
-    let (results, fx) = gtm.commit_group(&[t(1), t(2), t(3)], ts(1.0)).unwrap();
+    let (results, busy) = commit_group(&mut gtm, &[t(1), t(2), t(3)], ts(1.0), 0, Duration(0));
     assert_eq!(results.len(), 3);
     for (txn, r) in &results {
         assert_eq!(*r, CommitResult::Committed, "{txn:?}");
     }
-    assert_eq!(fx.sst_busy, pstm_types::Duration(0), "no retries, no busy charge");
+    assert_eq!(busy, Duration(0), "no retries, no busy charge");
     for (i, r) in res.iter().enumerate() {
         assert_eq!(value_of(&gtm, *r), Value::Int(100 - (i as i64 + 1)));
     }
@@ -250,7 +360,8 @@ fn group_commit_overlap_cuts_before_reconciliation_and_loses_no_update() {
     gtm.execute(t(1), x, ScalarOp::Sub(Value::Int(1)), T0).unwrap();
     gtm.execute(t(2), x, ScalarOp::Sub(Value::Int(2)), T0).unwrap();
 
-    let (results, _) = gtm.commit_group(&[t(1), t(2)], ts(1.0)).unwrap();
+    let (results, _) = commit_group(&mut gtm, &[t(1), t(2)], ts(1.0), 0, Duration(0));
+    assert_eq!(results.len(), 2);
     for (txn, r) in &results {
         assert_eq!(*r, CommitResult::Committed, "{txn:?}");
     }
@@ -271,7 +382,7 @@ fn group_commit_constraint_violator_aborts_alone() {
     gtm.begin(t(2), T0).unwrap();
     gtm.execute(t(2), res[1], ScalarOp::Sub(Value::Int(150)), T0).unwrap();
 
-    let (results, _) = gtm.commit_group(&[t(1), t(2)], ts(1.0)).unwrap();
+    let (results, _) = commit_group(&mut gtm, &[t(1), t(2)], ts(1.0), 0, Duration(0));
     let fate = |txn: TxnId| results.iter().find(|(x, _)| *x == txn).unwrap().1.clone();
     assert_eq!(fate(t(1)), CommitResult::Committed, "innocent member lands");
     assert_eq!(fate(t(2)), CommitResult::Aborted(AbortReason::Constraint));
@@ -291,7 +402,7 @@ fn group_commit_retry_delay_is_charged_once_per_batch_attempt() {
     use pstm_faults::{FaultInjector, FaultPlan};
     let config = GtmConfig {
         sst_retries: 3,
-        sst_retry_delay: pstm_types::Duration::from_secs_f64(0.010),
+        sst_retry_delay: Duration::from_secs_f64(0.010),
         ..GtmConfig::default()
     };
     let (mut gtm, res) = setup(2, 100, config);
@@ -304,15 +415,16 @@ fn group_commit_retry_delay_is_charged_once_per_batch_attempt() {
     let injector = Arc::new(FaultInjector::new(FaultPlan::new(7).io_on_sst_apply_each(1_000_000)));
     gtm.database().set_fault_hook(Arc::clone(&injector) as _);
 
-    let (results, fx) = gtm.commit_group(&[t(1), t(2)], ts(1.0)).unwrap();
+    let (results, busy) =
+        commit_group(&mut gtm, &[t(1), t(2)], ts(1.0), config.sst_retries, config.sst_retry_delay);
+    assert_eq!(results.len(), 2);
     for (txn, r) in &results {
         assert_eq!(*r, CommitResult::Aborted(AbortReason::SstFailure), "{txn:?}");
     }
-    let expected = pstm_types::Duration(config.sst_retry_delay.0 * u64::from(config.sst_retries));
+    let expected = Duration(config.sst_retry_delay.0 * u64::from(config.sst_retries));
     assert_eq!(
-        fx.sst_busy, expected,
-        "one busy charge per batch attempt, not per member (got {:?}, want {:?})",
-        fx.sst_busy, expected
+        busy, expected,
+        "one busy charge per batch attempt, not per member (got {busy:?}, want {expected:?})"
     );
     gtm.database().clear_fault_hook();
     gtm.check_invariants().unwrap();

@@ -6,8 +6,8 @@ use pstm_core::policy::{AdmissionPolicy, StarvationPolicy};
 use pstm_core::TxnState;
 use pstm_storage::{BindingRegistry, ColumnDef, Constraint, Database, Row, TableSchema};
 use pstm_types::{
-    AbortReason, CompatMatrix, ExecOutcome, MemberId, PstmError, ResourceId, ScalarOp, Timestamp,
-    TxnId, Value, ValueKind,
+    AbortReason, CompatMatrix, ExecOutcome, FailSstApplies, MemberId, PstmError, ResourceId,
+    ScalarOp, Timestamp, TxnId, Value, ValueKind,
 };
 use std::sync::Arc;
 
@@ -640,7 +640,7 @@ fn sst_transient_failure_is_retried() {
     let (mut gtm, res) = setup(1, config);
     gtm.begin(t(1), T0).unwrap();
     gtm.execute(t(1), res[0], ScalarOp::Sub(Value::Int(1)), T0).unwrap();
-    gtm.database().inject_write_set_faults(1);
+    gtm.database().set_fault_hook(FailSstApplies::first(1));
     let (r, _) = gtm.commit(t(1), ts(1.0)).unwrap();
     assert_eq!(r, CommitResult::Committed);
     assert_eq!(gtm.stats().sst_retries, 1);
@@ -661,7 +661,7 @@ fn sst_persistent_failure_aborts_with_clean_state() {
     let (o, _) = gtm.execute(t(2), res[0], ScalarOp::Assign(Value::Int(8)), T0).unwrap();
     assert_eq!(o, ExecOutcome::Waiting);
 
-    gtm.database().inject_write_set_faults(10);
+    gtm.database().set_fault_hook(FailSstApplies::first(10));
     let (r, fx) = gtm.commit(t(1), ts(1.0)).unwrap();
     assert_eq!(r, CommitResult::Aborted(AbortReason::SstFailure));
     assert_eq!(gtm.stats().sst_retries, 1);
@@ -685,7 +685,7 @@ fn paper_default_sst_failure_is_immediately_fatal() {
     let (mut gtm, res) = setup(1, GtmConfig::default());
     gtm.begin(t(1), T0).unwrap();
     gtm.execute(t(1), res[0], ScalarOp::Sub(Value::Int(1)), T0).unwrap();
-    gtm.database().inject_write_set_faults(1);
+    gtm.database().set_fault_hook(FailSstApplies::first(1));
     let (r, _) = gtm.commit(t(1), ts(1.0)).unwrap();
     assert_eq!(r, CommitResult::Aborted(AbortReason::SstFailure));
     assert_eq!(gtm.stats().sst_retries, 0);

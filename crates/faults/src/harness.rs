@@ -9,12 +9,14 @@
 //! but it is wall-clocked and multi-threaded — two properties the chaos
 //! matrix cannot afford, because every `(seed, plan)` pair must replay
 //! byte-identically (`pstm-check`'s wall-clock lint exists for the same
-//! reason). The harness therefore replicates the front-end's commit
-//! protocol exactly — lock shards ascending, `commit_local` each, fuse
-//! one [`Sst`], consult the `pre-sst`/`pre-finish` seams, then
-//! `commit_finish`/`commit_abort` — on a virtual clock, one step at a
-//! time. The front-end's own seams are exercised under real threads by
-//! the `sst_exhaustion` integration tests.
+//! reason). The harness therefore runs the front-end's commit sequence
+//! on a virtual clock, one step at a time: [`Gtm::prepare`] on each
+//! shard ascending, one [`flush_sst`] of the fused write set with the
+//! `pre-sst`/`pre-finish` seams where the front-end has them, then
+//! [`Gtm::settle`] on each shard — and the group-commit station's wave
+//! is the same three calls over a whole batch. The front-end's own seams
+//! are exercised under real threads by the `sst_exhaustion` integration
+//! tests.
 //!
 //! ## The invariant ledger
 //!
@@ -36,15 +38,15 @@
 use crate::injector::{FaultInjector, FiredFault};
 use crate::plan::FaultPlan;
 use pstm_check::{stitch_streams, verify_streams, TraceStream, Verdict};
-use pstm_core::gtm::{CommitResult, Gtm, GtmConfig, LocalCommit};
-use pstm_core::sst::Sst;
+use pstm_core::gtm::{CommitResult, Gtm, GtmConfig, Outcome};
+use pstm_core::sst::{flush_sst, Flush, Sst, SstBatch};
 use pstm_obs::postmortem::{analyze, Postmortem};
 use pstm_obs::recorder::{read_recorder, Recorder, ENGINE_SHARD};
 use pstm_obs::{RingHandle, RingSink, Sink, TeeSink, TraceEvent, Tracer};
 use pstm_storage::{BindingRegistry, Database};
 use pstm_types::{
-    AbortReason, Duration, ExecOutcome, FaultHook, FaultSite, PstmError, PstmResult, ResourceId,
-    ScalarOp, Timestamp, TxnId, Value,
+    AbortReason, Duration, ExecOutcome, FaultDecision, FaultHook, FaultSite, PstmError, PstmResult,
+    ResourceId, ScalarOp, Timestamp, TxnId, Value,
 };
 use pstm_workload::counter_world;
 use rand::prelude::*;
@@ -79,9 +81,9 @@ pub struct ChaosConfig {
     /// never drain the session list).
     pub max_recoveries: u32,
     /// Commit single-shard sessions through the fused group-commit
-    /// protocol (the front-end station's split
-    /// `commit_group_local`/`commit_group_finish` API) instead of one
-    /// coordinated commit each. Multi-shard sessions still go through the
+    /// protocol (the front-end station's wave: one `prepare` → flush →
+    /// `settle` over every member) instead of one coordinated commit
+    /// each. Multi-shard sessions still go through the
     /// cross-shard path, exactly like the production front-end.
     pub group_commit: bool,
     /// When set, every epoch's trace streams *also* flow into a durable
@@ -191,12 +193,11 @@ struct Epoch {
     engine_ring: RingHandle,
 }
 
-/// Outcome of one session's phased commit (crashes propagate as
-/// `Err(PstmError::Crashed)` instead).
-enum Settle {
-    Committed,
-    Aborted(AbortReason),
-}
+/// Per-retry virtual back-off of the harness's SST flushes.
+const RETRY_BACKOFF: Duration = Duration(1_000);
+
+/// SST retries per flush (every epoch's managers share this config).
+const SST_RETRIES: u32 = 2;
 
 struct Chaos {
     db: Arc<Database>,
@@ -213,13 +214,10 @@ struct Chaos {
     /// all-or-nothing engine write, so invariant 2 sees one in-flight
     /// unit either fully absent or fully applied.
     in_flight: Option<BTreeMap<usize, i64>>,
-    /// How many sessions the in-flight unit carries (1 for a solo
-    /// commit, the batch size for a fused group) — the reclassification
-    /// quantum when a crashed unit turns out to have survived whole.
-    in_flight_members: u64,
     /// The transactions riding the in-flight unit (the solo committer,
-    /// or the fused batch members' origins) — what the post-mortem's
-    /// in-doubt set is compared against when the unit survives a crash.
+    /// or the fused batch members' origins) — the reclassification
+    /// quantum when a crashed unit turns out to have survived whole, and
+    /// what the post-mortem's in-doubt set is compared against then.
     in_flight_txns: Vec<TxnId>,
     /// The live epoch's flight recorder, when recorder mode is on.
     recorder: Option<Recorder>,
@@ -277,7 +275,7 @@ impl Chaos {
             let ring = RingSink::new(1 << 20);
             shard_rings.push(ring.handle());
             let tracer = Tracer::with_sink(tee(ring, i as u32, &self.recorder));
-            let gtm_config = GtmConfig { sst_retries: 2, ..GtmConfig::default() };
+            let gtm_config = GtmConfig { sst_retries: SST_RETRIES, ..GtmConfig::default() };
             let mut gtm = Gtm::new(Arc::clone(&self.db), self.bindings.clone(), gtm_config)
                 .with_tracer(tracer);
             gtm.set_fault_hook(Arc::clone(&self.injector) as _, i as u32);
@@ -383,228 +381,155 @@ impl Chaos {
         Ok(())
     }
 
-    /// The front-end's coordinated commit, replicated on the virtual
-    /// clock: `commit_local` ascending, one fused SST with transient-I/O
+    /// One flush on the virtual clock: each retry charges
+    /// [`RETRY_BACKOFF`], and every flush event lands in `shard`'s
+    /// stream.
+    fn flush(
+        &mut self,
+        epoch: &Epoch,
+        shard: usize,
+        unit: Flush<'_>,
+        injected: Option<PstmError>,
+    ) -> PstmResult<()> {
+        let tracer = epoch.gtms[shard].tracer();
+        let clock = &mut self.clock;
+        flush_sst(unit, &self.db, &self.bindings, SST_RETRIES, injected, |event| {
+            if matches!(event, TraceEvent::SstRetry { .. }) {
+                *clock += RETRY_BACKOFF.0;
+            }
+            tracer.emit(Timestamp(*clock), event);
+        })
+    }
+
+    /// Emits a crash at `site` into `shard`'s stream — the seam announces
+    /// itself before the simulated process dies, so a post-mortem over
+    /// the recorder file can name the crash site — and returns the crash.
+    fn crash_at(&mut self, epoch: &Epoch, shard: usize, site: FaultSite) -> PstmError {
+        let now = self.now();
+        epoch.gtms[shard]
+            .tracer()
+            .emit(now, TraceEvent::FaultInjected { site: site.label(), action: "crash".into() });
+        PstmError::Crashed(site.label())
+    }
+
+    /// The front-end's coordinated commit on the virtual clock:
+    /// [`Gtm::prepare`] ascending, one fused SST with transient-I/O
     /// retries, the `pre-sst`/`pre-finish` seams in their real positions,
-    /// then per-shard settlement.
+    /// then [`Gtm::settle`] per shard.
     fn commit_session(
         &mut self,
         epoch: &mut Epoch,
         txn: TxnId,
         shards: &[usize],
-    ) -> PstmResult<Settle> {
+    ) -> PstmResult<CommitResult> {
         let now = self.now();
-        let mut writes = Vec::new();
-        let mut failed_at: Option<(usize, AbortReason)> = None;
-        for (i, &s) in shards.iter().enumerate() {
-            match epoch.gtms[s].commit_local(txn, now)? {
-                LocalCommit::Prepared(w) => writes.extend(w),
-                LocalCommit::Aborted(reason, _fx) => {
-                    failed_at = Some((i, reason));
+        let mut batches: Vec<SstBatch> = Vec::with_capacity(shards.len());
+        let mut failed: Option<AbortReason> = None;
+        for &s in shards {
+            let prepared = epoch.gtms[s].prepare(&[txn], now)?;
+            match prepared.batch {
+                Some(batch) => batches.push(batch),
+                None => {
+                    failed = prepared.abort_reason();
                     break;
                 }
             }
         }
-        if let Some((k, reason)) = failed_at {
-            for (i, &s) in shards.iter().enumerate() {
-                match i.cmp(&k) {
-                    std::cmp::Ordering::Less => {
-                        epoch.gtms[s].commit_abort(txn, reason, now)?;
-                    }
-                    std::cmp::Ordering::Equal => {}
-                    std::cmp::Ordering::Greater => {
-                        epoch.gtms[s].abort(txn, now)?;
-                    }
-                }
+        if let Some(reason) = failed {
+            let k = batches.len();
+            for (&s, batch) in shards.iter().zip(batches) {
+                epoch.gtms[s].settle(batch, Outcome::Unwound(reason), now)?;
             }
-            return Ok(Settle::Aborted(reason));
+            for &s in &shards[k + 1..] {
+                epoch.gtms[s].abort(txn, now)?;
+            }
+            return Ok(CommitResult::Aborted(reason));
         }
 
-        let sst = Sst::new(txn, writes);
-        let pre_sst_io = match self.injector.decide(FaultSite::PreSst) {
-            pstm_types::FaultDecision::Proceed => false,
-            pstm_types::FaultDecision::Io => true,
-            _ => {
-                // Mirror the front-end: the seam announces itself before
-                // the simulated process dies, so a post-mortem over the
-                // recorder file can name the crash site.
-                epoch.gtms[shards[0]].tracer().emit(
-                    now,
-                    TraceEvent::FaultInjected {
-                        site: FaultSite::PreSst.label(),
-                        action: "crash".into(),
-                    },
-                );
-                return Err(PstmError::Crashed(FaultSite::PreSst.label()));
-            }
+        let writes = batches.iter().flat_map(|b| &b.members).flat_map(|m| m.writes.clone());
+        let sst = Sst::new(txn, writes.collect());
+        let injected = match self.injector.decide(FaultSite::PreSst) {
+            FaultDecision::Proceed => None,
+            FaultDecision::Io => Some(PstmError::Io("injected pre-SST fault".into())),
+            _ => return Err(self.crash_at(epoch, shards[0], FaultSite::PreSst)),
         };
-        let mut sst_result = if pre_sst_io {
-            Err(PstmError::Io("injected pre-SST fault".into()))
-        } else {
-            sst.execute(&self.db, &self.bindings)
-        };
-        let retries = GtmConfig { sst_retries: 2, ..GtmConfig::default() }.sst_retries;
-        let mut attempts = 0;
-        while attempts < retries && matches!(sst_result, Err(PstmError::Io(_))) {
-            attempts += 1;
-            self.clock += Duration::from_secs_f64(0.001).0; // virtual back-off
-            sst_result = sst.execute(&self.db, &self.bindings);
+        let flushed = self.flush(epoch, shards[0], Flush::Solo(&sst), injected);
+        if flushed.is_ok() && self.injector.decide(FaultSite::PreFinish) != FaultDecision::Proceed {
+            return Err(self.crash_at(epoch, shards[0], FaultSite::PreFinish));
         }
-
         let settled_at = self.now();
-        let reason = match sst_result {
-            Ok(()) => {
-                match self.injector.decide(FaultSite::PreFinish) {
-                    pstm_types::FaultDecision::Proceed => {}
-                    _ => {
-                        epoch.gtms[shards[0]].tracer().emit(
-                            settled_at,
-                            TraceEvent::FaultInjected {
-                                site: FaultSite::PreFinish.label(),
-                                action: "crash".into(),
-                            },
-                        );
-                        return Err(PstmError::Crashed(FaultSite::PreFinish.label()));
-                    }
-                }
-                for &s in shards {
-                    epoch.gtms[s].commit_finish(txn, settled_at)?;
-                }
-                return Ok(Settle::Committed);
+        let mut result = CommitResult::Committed;
+        for (&s, batch) in shards.iter().zip(batches) {
+            let outcome = Outcome::Flushed(flushed.clone());
+            if let Some((_, fate)) = epoch.gtms[s].settle(batch, outcome, settled_at)?.settled.pop()
+            {
+                result = fate;
             }
-            Err(PstmError::ConstraintViolation { .. }) | Err(PstmError::TypeMismatch { .. }) => {
-                AbortReason::Constraint
-            }
-            Err(PstmError::Io(_)) => AbortReason::SstFailure,
-            Err(e @ PstmError::Crashed(_)) => return Err(e),
-            Err(e) => return Err(e),
-        };
-        for &s in shards {
-            epoch.gtms[s].commit_abort(txn, reason, settled_at)?;
         }
-        Ok(Settle::Aborted(reason))
+        Ok(result)
     }
 
-    /// The front-end's group-commit station, replicated on the virtual
-    /// clock: the `pre-sst` seam, [`Gtm::commit_group_local`]'s greedy
-    /// cut, one fused flush with transient-I/O retries, the `pre-finish`
-    /// seam, then [`Gtm::commit_group_finish`] — looping until the
-    /// deferred members (write estimates overlapping an earlier batch)
-    /// drain. Settles append to `settles` incrementally so a crash keeps
-    /// the accounting of members settled by earlier batches.
+    /// The front-end's group-commit station on the virtual clock: the
+    /// `pre-sst` seam, [`Gtm::prepare`]'s greedy cut over the wave, one
+    /// fused flush with transient-I/O retries, the `pre-finish` seam,
+    /// then [`Gtm::settle`] (members a constraint violation hands back
+    /// reflush solo) — looping until the deferred members (write
+    /// estimates overlapping an earlier batch) drain. Settles append to
+    /// `settles` incrementally so a crash keeps the accounting of members
+    /// settled by earlier batches.
     fn commit_group_wave(
         &mut self,
         epoch: &mut Epoch,
         shard: usize,
         idxs: &[usize],
         wave: &[WaveSession],
-        settles: &mut Vec<(usize, Settle)>,
+        settles: &mut Vec<(usize, CommitResult)>,
     ) -> PstmResult<()> {
         let idx_of = |txn: TxnId| idxs.iter().copied().find(|&i| wave[i].0 == txn);
-        let settle_of = |result: CommitResult| match result {
-            CommitResult::Committed => Settle::Committed,
-            CommitResult::Aborted(reason) => Settle::Aborted(reason),
-        };
         let mut remaining: Vec<usize> = idxs.to_vec();
         while !remaining.is_empty() {
-            match self.injector.decide(FaultSite::PreSst) {
-                pstm_types::FaultDecision::Proceed => {}
-                _ => {
-                    epoch.gtms[shard].tracer().emit(
-                        self.now(),
-                        TraceEvent::FaultInjected {
-                            site: FaultSite::PreSst.label(),
-                            action: "crash".into(),
-                        },
-                    );
-                    return Err(PstmError::Crashed(FaultSite::PreSst.label()));
-                }
+            if self.injector.decide(FaultSite::PreSst) != FaultDecision::Proceed {
+                return Err(self.crash_at(epoch, shard, FaultSite::PreSst));
             }
             let txns: Vec<TxnId> = remaining.iter().map(|&i| wave[i].0).collect();
             let now = self.now();
-            let mut local = epoch.gtms[shard].commit_group_local(&txns, now)?;
-            for (txn, result) in &local.settled {
-                if let Some(i) = idx_of(*txn) {
-                    settles.push((i, settle_of(result.clone())));
-                }
-            }
-            let deferred: Vec<usize> = local.deferred.iter().filter_map(|&t| idx_of(t)).collect();
-            // Batch-rejected members: solo flush (no lock here — the
-            // harness owns every GTM), then settle on the outcome.
-            for sst in std::mem::take(&mut local.overflow) {
-                let txn = sst.origin;
-                let flush = sst.execute(&self.db, &self.bindings);
-                let (result, _fx) =
-                    epoch.gtms[shard].commit_solo_finish(&sst, flush, self.now())?;
-                if let Some(i) = idx_of(txn) {
-                    settles.push((i, settle_of(result)));
-                }
-            }
-            let Some(batch) = local.batch.take() else {
-                // No batch ⇒ nothing parked ⇒ nothing deferred (the cut
-                // only defers against parked members).
-                debug_assert!(deferred.is_empty());
-                remaining = deferred;
-                continue;
-            };
+            let prepared = epoch.gtms[shard].prepare(&txns, now)?;
+            settles.extend(prepared.settled.into_iter().filter_map(|(t, r)| Some((idx_of(t)?, r))));
+            remaining = prepared.deferred.iter().filter_map(|&t| idx_of(t)).collect();
+            // No batch ⇒ nothing parked ⇒ nothing deferred (the cut only
+            // defers against parked members).
+            let Some(batch) = prepared.batch else { continue };
             let mut intents: BTreeMap<usize, i64> = BTreeMap::new();
-            for m in &batch.members {
-                if let Some(i) = idx_of(m.origin) {
-                    for (&r, &n) in &wave[i].2 {
-                        *intents.entry(r).or_insert(0) += n;
-                    }
+            for i in batch.members.iter().filter_map(|m| idx_of(m.origin)) {
+                for (&r, &n) in &wave[i].2 {
+                    *intents.entry(r).or_insert(0) += n;
                 }
             }
             self.in_flight = Some(intents);
-            self.in_flight_members = batch.len() as u64;
             self.in_flight_txns = batch.members.iter().map(|m| m.origin).collect();
-            let mut flush = batch.execute(&self.db, &self.bindings);
-            let retries = GtmConfig { sst_retries: 2, ..GtmConfig::default() }.sst_retries;
-            let mut attempts = 0;
-            while attempts < retries && matches!(flush, Err(PstmError::Io(_))) {
-                attempts += 1;
-                self.clock += Duration::from_secs_f64(0.001).0; // virtual back-off
-                flush = batch.execute(&self.db, &self.bindings);
-            }
-            if flush.is_ok() {
-                // The fused SST is durable but no member has learned the
-                // outcome: a crash here must leave the whole group
-                // visible exactly once after recovery.
-                match self.injector.decide(FaultSite::PreFinish) {
-                    pstm_types::FaultDecision::Proceed => {}
-                    _ => {
-                        epoch.gtms[shard].tracer().emit(
-                            self.now(),
-                            TraceEvent::FaultInjected {
-                                site: FaultSite::PreFinish.label(),
-                                action: "crash".into(),
-                            },
-                        );
-                        return Err(PstmError::Crashed(FaultSite::PreFinish.label()));
-                    }
-                }
+            let flushed = self.flush(epoch, shard, Flush::Fused(&batch), None);
+            // The fused SST is durable but no member has learned the
+            // outcome: a crash here must leave the whole group visible
+            // exactly once after recovery.
+            if flushed.is_ok()
+                && self.injector.decide(FaultSite::PreFinish) != FaultDecision::Proceed
+            {
+                return Err(self.crash_at(epoch, shard, FaultSite::PreFinish));
             }
             let settled_at = self.now();
-            let fin = epoch.gtms[shard].commit_group_finish(batch, flush, settled_at)?;
+            let round = epoch.gtms[shard].settle(batch, Outcome::Flushed(flushed), settled_at)?;
             self.in_flight = None;
-            self.in_flight_members = 1;
             self.in_flight_txns.clear();
-            for (txn, result) in fin.settled {
-                if let Some(i) = idx_of(txn) {
-                    settles.push((i, settle_of(result)));
-                }
-            }
+            settles.extend(round.settled.into_iter().filter_map(|(t, r)| Some((idx_of(t)?, r))));
             // A constraint violation somewhere in the batch: each member
             // re-flushes solo so only the violators abort.
-            for sst in fin.reflush {
-                let txn = sst.origin;
-                let solo = sst.execute(&self.db, &self.bindings);
-                let (result, _fx) = epoch.gtms[shard].commit_solo_finish(&sst, solo, self.now())?;
-                if let Some(i) = idx_of(txn) {
-                    settles.push((i, settle_of(result)));
-                }
+            for sst in round.reflush {
+                let solo = self.flush(epoch, shard, Flush::Solo(&sst), None);
+                let now = self.now();
+                let one =
+                    epoch.gtms[shard].settle(SstBatch::of(sst), Outcome::Flushed(solo), now)?;
+                settles.extend(one.settled.into_iter().filter_map(|(t, r)| Some((idx_of(t)?, r))));
             }
-            remaining = deferred;
         }
         Ok(())
     }
@@ -668,7 +593,6 @@ pub fn run_chaos(config: &ChaosConfig) -> PstmResult<ChaosReport> {
         clock: 0,
         acked: vec![0; config.resources],
         in_flight: None,
-        in_flight_members: 1,
         in_flight_txns: Vec::new(),
         recorder: None,
         epoch_no: 0,
@@ -782,12 +706,11 @@ pub fn run_chaos(config: &ChaosConfig) -> PstmResult<ChaosReport> {
         }
         let mut settled_flags = vec![false; wave.len()];
         for unit in units {
-            let mut settles: Vec<(usize, Settle)> = Vec::new();
+            let mut settles: Vec<(usize, CommitResult)> = Vec::new();
             let result = match &unit {
                 Unit::Solo(i) => {
                     let (txn, shards, subs, _) = &wave[*i];
                     chaos.in_flight = Some(subs.clone());
-                    chaos.in_flight_members = 1;
                     chaos.in_flight_txns = vec![*txn];
                     chaos.commit_session(&mut epoch, *txn, shards).map(|settle| {
                         settles.push((*i, settle));
@@ -803,13 +726,13 @@ pub fn run_chaos(config: &ChaosConfig) -> PstmResult<ChaosReport> {
             for (i, settle) in settles {
                 settled_flags[i] = true;
                 match settle {
-                    Settle::Committed => {
+                    CommitResult::Committed => {
                         for (&r, &n) in &wave[i].2 {
                             chaos.acked[r] += n;
                         }
                         committed += 1;
                     }
-                    Settle::Aborted(reason) => {
+                    CommitResult::Aborted(reason) => {
                         aborted += 1;
                         if reason == AbortReason::SstFailure {
                             aborted_sst_failure += 1;
@@ -820,7 +743,6 @@ pub fn run_chaos(config: &ChaosConfig) -> PstmResult<ChaosReport> {
             match result {
                 Ok(()) => {
                     chaos.in_flight = None;
-                    chaos.in_flight_members = 1;
                     chaos.in_flight_txns.clear();
                 }
                 Err(PstmError::Crashed(_)) => {
@@ -859,8 +781,9 @@ pub fn run_chaos(config: &ChaosConfig) -> PstmResult<ChaosReport> {
                         // check_ledger signalled "applied whole": the
                         // unit saw a crash but its fused SST survived —
                         // every member visible exactly once.
-                        committed_in_doubt += chaos.in_flight_members;
-                        lost -= chaos.in_flight_members;
+                        let members = chaos.in_flight_txns.len() as u64;
+                        committed_in_doubt += members;
+                        lost -= members;
                     }
                     if let Some(pm) = postmortem {
                         // The recorder's in-doubt classification must
@@ -871,7 +794,6 @@ pub fn run_chaos(config: &ChaosConfig) -> PstmResult<ChaosReport> {
                             if unit_survived { chaos.in_flight_txns.clone() } else { Vec::new() };
                         chaos.check_postmortem(&pm, stranded_txns, expect_in_doubt);
                     }
-                    chaos.in_flight_members = 1;
                     chaos.in_flight_txns.clear();
                     if crashes < u64::from(config.max_recoveries) {
                         chaos.injector.arm();

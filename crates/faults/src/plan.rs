@@ -149,8 +149,9 @@ impl FaultPlan {
         })
     }
 
-    /// Crash at the start of `commit_local` on shard `shard`, on the
-    /// `n`th such arrival, once.
+    /// Crash at the commit-local site on shard `shard` (the start of a
+    /// transaction's reconciliation in `Gtm::prepare`), on the `n`th such
+    /// arrival, once.
     #[must_use]
     pub fn crash_mid_commit_local(self, shard: u32, n: u64) -> Self {
         self.with_rule(FaultRule {

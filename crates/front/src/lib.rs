@@ -18,13 +18,13 @@
 //!   (pending/committing sets, wait queues, read snapshots) is owned by
 //!   that shard, so the paper's per-resource algorithms run unchanged.
 //! - **Cross-shard commit.** A session touching several shards commits
-//!   through the phased API: shards are locked in ascending index order
-//!   (no lock cycles between committers), [`Gtm::commit_local`] reconciles
-//!   each shard's resources, and the per-shard write sets are folded into
-//!   **one** [`Sst`] against the shared [`Database`] — the global commit
-//!   stays atomic across shards because the SST applies its write set
-//!   all-or-nothing. [`Gtm::commit_finish`] / [`Gtm::commit_abort`] then
-//!   settle each shard's bookkeeping.
+//!   through the GTM's commit protocol: shards are locked in ascending
+//!   index order (no lock cycles between committers), [`Gtm::prepare`]
+//!   reconciles each shard's resources, and the per-shard write sets are
+//!   folded into **one** [`Sst`] flushed by [`flush_sst`] against the
+//!   shared [`Database`] — the global commit stays atomic across shards
+//!   because the SST applies its write set all-or-nothing.
+//!   [`Gtm::settle`] then settles each shard's bookkeeping.
 //! - **Wall-clock bridge.** Shards speak the virtual-clock
 //!   [`Timestamp`]; the front-end stamps every call with microseconds
 //!   elapsed since construction, sampled *while holding the shard lock*
@@ -54,8 +54,8 @@ pub mod reactor;
 mod timer;
 
 use parking_lot::{Mutex, MutexGuard};
-use pstm_core::gtm::{CommitResult, Gtm, GtmConfig, GtmStats, LocalCommit};
-use pstm_core::sst::Sst;
+use pstm_core::gtm::{CommitResult, Gtm, GtmConfig, GtmStats, Outcome};
+use pstm_core::sst::{flush_sst, Flush, Sst, SstBatch};
 use pstm_obs::prof::{self, CommitPhase};
 use pstm_obs::wallclock::WallAnchor;
 use pstm_obs::{
@@ -85,9 +85,9 @@ pub struct FrontConfig {
     /// Route single-shard commits through the per-shard group-commit
     /// station: concurrent committers enqueue, one becomes the leader and
     /// flushes every queued commit with pairwise-disjoint writes as *one*
-    /// fused SST ([`Gtm::commit_group`]), amortizing the WAL flush and
-    /// engine apply. Cross-shard commits always take the phased
-    /// coordinated path regardless of this flag.
+    /// fused SST ([`Flush::Fused`]), amortizing the WAL flush and engine
+    /// apply. Cross-shard commits always take the coordinated path
+    /// regardless of this flag.
     pub group_commit: bool,
     /// Upper bound on commits fused per group flush (≥ 1); only read
     /// when [`FrontConfig::group_commit`] is on.
@@ -471,6 +471,17 @@ impl ShardedFront {
         }
     }
 
+    /// A labeled seam's simulated crash: announces it in `shard`'s stream
+    /// — so a post-mortem over the recorder file can name the crash site
+    /// — and returns the error that kills the process.
+    fn crash_at(&self, shard: usize, site: FaultSite) -> PstmError {
+        self.emit_shard(
+            shard,
+            TraceEvent::FaultInjected { site: site.label(), action: "crash".into() },
+        );
+        PstmError::Crashed(site.label())
+    }
+
     /// True when no shard mutex is currently held — what "no leaked shard
     /// locks" means after a commit unwinds (successfully, by abort, or by
     /// a simulated crash). Callers must be quiescent: a concurrent
@@ -654,12 +665,11 @@ impl ShardedFront {
     /// holds the shard's flush fence (`_fence`) across the whole round.
     ///
     /// Drains a wave (FIFO, at most [`FrontConfig::max_group`]) and
-    /// flushes it: reconcile under the shard mutex
-    /// ([`Gtm::commit_group_local`]), one fused SST with the mutex
-    /// released — the fence alone guards permanent state while the
-    /// device round-trip is paid, so concurrent sessions keep executing
-    /// and pile onto the queue for the next wave — then settle back
-    /// under the mutex ([`Gtm::commit_group_finish`]). Members the
+    /// flushes it: reconcile under the shard mutex ([`Gtm::prepare`]),
+    /// one fused SST with the mutex released — the fence alone guards
+    /// permanent state while the device round-trip is paid, so concurrent
+    /// sessions keep executing and pile onto the queue for the next wave
+    /// — then settle back under the mutex ([`Gtm::settle`]). Members the
     /// greedy cut defers (write estimate overlapping the batch) return
     /// to the queue front in their original order, unsettled.
     ///
@@ -711,142 +721,85 @@ impl ShardedFront {
         // Labeled fault seam: the wave is chosen, nothing reconciled or
         // flushed yet. A crash here kills the process with every wave
         // member still Active — recovery must show none of them.
-        if !matches!(self.fault_decision(FaultSite::PreSst), FaultDecision::Proceed) {
-            self.emit_shard(
-                shard,
-                TraceEvent::FaultInjected {
-                    site: FaultSite::PreSst.label(),
-                    action: "crash".into(),
-                },
-            );
-            return Err(PstmError::Crashed(FaultSite::PreSst.label()));
+        if self.fault_decision(FaultSite::PreSst) != FaultDecision::Proceed {
+            return Err(self.crash_at(shard, FaultSite::PreSst));
         }
         let txns: Vec<TxnId> = wave.iter().map(|(txn, _)| *txn).collect();
 
-        // Reconcile-and-park half, under the shard mutex — brief.
-        let mut local = {
+        // Reconcile-and-park, under the shard mutex — brief.
+        let prepared = {
             let mut guards = {
                 let _adm = prof::PhaseTimer::start(CommitPhase::Admission);
                 self.lock_shards_ascending(&[shard])
             };
             let now = self.now();
-            guards[0].commit_group_local(&txns, now)?
+            guards[0].prepare(&txns, now)?
         };
-        self.deposit(&local.effects);
+        self.deposit(&prepared.effects);
         // Deferred members overlap the batch about to flush; their
         // reconciliation must read post-flush permanent state. Back to
         // the queue front, original order, for the next round.
-        if !local.deferred.is_empty() {
+        if !prepared.deferred.is_empty() {
             let mut queue = self.inner.groups[shard].lock();
-            for txn in local.deferred.iter().rev() {
+            for txn in prepared.deferred.iter().rev() {
                 if let Some(entry) = wave.iter().find(|(member, _)| member == txn) {
                     queue.push_front(entry.clone());
                 }
             }
         }
-        let mut settled = std::mem::take(&mut local.settled);
-        // Batch-rejected members (the write estimate lied): their solo
-        // flushes run out here too — shard unlocked, fence held.
-        let overflow: Vec<(Sst, PstmResult<()>)> = std::mem::take(&mut local.overflow)
-            .into_iter()
-            .map(|sst| {
-                let flush = self.solo_flush(shard, &sst);
-                (sst, flush)
-            })
-            .collect();
-        let Some(batch) = local.batch.take() else {
-            // Overflow implies a batch existed to reject from.
-            debug_assert!(overflow.is_empty());
-            return Ok(settled);
-        };
+        let mut settled = prepared.settled;
+        let Some(batch) = prepared.batch else { return Ok(settled) };
         // The fused flush, outside the shard mutex: the fence alone
         // guards permanent state while the device round-trip is paid.
         // Transient (I/O) failures retry per the shared config in real
         // wall time.
         let config = self.inner.config.gtm;
-        let mut flush = batch.execute(&self.inner.db, &self.inner.bindings);
-        let mut attempts = 0;
-        while attempts < config.sst_retries && matches!(flush, Err(PstmError::Io(_))) {
-            attempts += 1;
-            self.pause_retry(config.sst_retry_delay);
-            self.emit_shard(shard, TraceEvent::SstRetry { txn: batch.leader, attempt: attempts });
-            flush = batch.execute(&self.inner.db, &self.inner.bindings);
-        }
+        let report = |event: TraceEvent| {
+            if matches!(event, TraceEvent::SstRetry { .. }) {
+                self.pause_retry(config.sst_retry_delay);
+            }
+            self.emit_shard(shard, event);
+        };
+        let (db, bindings, retries) = (&self.inner.db, &self.inner.bindings, config.sst_retries);
+        let flushed = flush_sst(Flush::Fused(&batch), db, bindings, retries, None, report);
         // Labeled fault seam: the fused SST is durable but no member has
         // learned the outcome — the window where the group's commit
         // decision lives only in the log. A crash here must leave every
         // member's write set visible exactly once after recovery.
-        if flush.is_ok()
-            && !matches!(self.fault_decision(FaultSite::PreFinish), FaultDecision::Proceed)
-        {
-            self.emit_shard(
-                shard,
-                TraceEvent::FaultInjected {
-                    site: FaultSite::PreFinish.label(),
-                    action: "crash".into(),
-                },
-            );
-            return Err(PstmError::Crashed(FaultSite::PreFinish.label()));
+        if flushed.is_ok() && self.fault_decision(FaultSite::PreFinish) != FaultDecision::Proceed {
+            return Err(self.crash_at(shard, FaultSite::PreFinish));
         }
-        // Settlement half, back under the shard mutex. A crashed flush
-        // propagates untouched: the simulated process is dead and the
-        // members' parked state dies with it.
-        let mut guards = {
-            let _adm = prof::PhaseTimer::start(CommitPhase::Admission);
-            self.lock_shards_ascending(&[shard])
-        };
-        let now = self.now();
-        let mut fin = guards[0].commit_group_finish(batch, flush, now)?;
-        settled.append(&mut fin.settled);
-        let mut fx = fin.effects;
-        for (sst, solo) in overflow {
-            let (result, e) = guards[0].commit_solo_finish(&sst, solo, now)?;
-            fx.merge(e);
-            settled.push((sst.origin, result));
-        }
-        if !fin.reflush.is_empty() {
-            // Per-member unwind of a constraint violation: each solo
-            // flush pays its device round-trip with the shard unlocked,
-            // then settles under a fresh guard so only the violators
-            // abort.
-            drop(guards);
-            let solos: Vec<(Sst, PstmResult<()>)> = std::mem::take(&mut fin.reflush)
+        // Settlement, back under the shard mutex. A constraint violation
+        // hands the members back: each pays a solo flush with the shard
+        // unlocked, then settles as a one-member batch, so only the
+        // violators abort.
+        let mut outcomes = vec![(batch, Outcome::Flushed(flushed))];
+        let mut fx = StepEffects::none();
+        while !outcomes.is_empty() {
+            let mut reflush = Vec::new();
+            {
+                let mut guards = {
+                    let _adm = prof::PhaseTimer::start(CommitPhase::Admission);
+                    self.lock_shards_ascending(&[shard])
+                };
+                let now = self.now();
+                for (batch, outcome) in outcomes {
+                    let mut round = guards[0].settle(batch, outcome, now)?;
+                    settled.append(&mut round.settled);
+                    fx.merge(round.effects);
+                    reflush.append(&mut round.reflush);
+                }
+            }
+            outcomes = reflush
                 .into_iter()
                 .map(|sst| {
-                    let flush = self.solo_flush(shard, &sst);
-                    (sst, flush)
+                    let solo = flush_sst(Flush::Solo(&sst), db, bindings, retries, None, report);
+                    (SstBatch::of(sst), Outcome::Flushed(solo))
                 })
                 .collect();
-            let mut guards = {
-                let _adm = prof::PhaseTimer::start(CommitPhase::Admission);
-                self.lock_shards_ascending(&[shard])
-            };
-            let now = self.now();
-            for (sst, solo) in solos {
-                let (result, e) = guards[0].commit_solo_finish(&sst, solo, now)?;
-                fx.merge(e);
-                settled.push((sst.origin, result));
-            }
         }
         self.deposit(&fx);
         Ok(settled)
-    }
-
-    /// One solo SST flush with the configured retries, for members owed
-    /// an individual device round-trip (batch overflow, per-member
-    /// reflush after a constraint violation). Must run with the shard
-    /// mutex released — the fence alone guards permanent state.
-    fn solo_flush(&self, shard: usize, sst: &Sst) -> PstmResult<()> {
-        let config = self.inner.config.gtm;
-        let mut flush = sst.execute(&self.inner.db, &self.inner.bindings);
-        let mut attempts = 0;
-        while attempts < config.sst_retries && matches!(flush, Err(PstmError::Io(_))) {
-            attempts += 1;
-            self.pause_retry(config.sst_retry_delay);
-            self.emit_shard(shard, TraceEvent::SstRetry { txn: sst.origin, attempt: attempts });
-            flush = sst.execute(&self.inner.db, &self.inner.bindings);
-        }
-        flush
     }
 
     /// Hands a reactor-parked commit's outcome to the worker that owns
@@ -1214,11 +1167,11 @@ impl Session {
         Ok(AwakeOutcome::Resumed(granted))
     }
 
-    /// Commits the session through the coordinated phased path, whatever
-    /// the shard count: lock every touched shard in ascending index
-    /// order, `commit_local` each (reconciliation), fold all write sets
-    /// into **one** SST against the shared engine, then
-    /// `commit_finish`/`commit_abort` per shard. Running one-shard
+    /// Commits the session through the coordinated path, whatever the
+    /// shard count: lock every touched shard in ascending index order,
+    /// [`Gtm::prepare`] each (reconciliation), fold all write sets into
+    /// **one** SST flushed against the shared engine, then
+    /// [`Gtm::settle`] each shard. Running one-shard
     /// commits through the same path keeps the SST accounting and the
     /// `commit` span's `reconcile`/`sst_attempt` children uniform.
     /// With [`FrontConfig::group_commit`] on, a single-shard commit goes
@@ -1359,35 +1312,38 @@ impl Session {
         };
         let mut guards: Vec<MutexGuard<'_, Gtm>> = {
             let _adm = prof::PhaseTimer::start(CommitPhase::Admission);
-            self.front.lock_shards_ascending(shards)
+            front.lock_shards_ascending(shards)
         };
-        let now = self.front.now();
+        let now = front.now();
 
-        // Phase one: reconcile on every shard (Algorithm 3 per shard).
+        // Phase one: prepare on every shard (Algorithm 3 per shard).
         self.open_span(SpanKind::Reconcile);
-        let mut writes = Vec::new();
-        let mut failed_at: Option<(usize, AbortReason)> = None;
-        for (i, gtm) in guards.iter_mut().enumerate() {
-            match gtm.commit_local(self.id, now)? {
-                LocalCommit::Prepared(w) => writes.extend(w),
-                LocalCommit::Aborted(reason, fx) => {
-                    self.front.deposit(&fx);
-                    failed_at = Some((i, reason));
+        let mut batches: Vec<SstBatch> = Vec::with_capacity(shards.len());
+        let mut failed: Option<AbortReason> = None;
+        for gtm in guards.iter_mut() {
+            let prepared = gtm.prepare(&[self.id], now)?;
+            front.deposit(&prepared.effects);
+            match prepared.batch {
+                Some(batch) => batches.push(batch),
+                None => {
+                    failed = prepared.abort_reason();
                     break;
                 }
             }
         }
         self.close_span(SpanKind::Reconcile);
-        if let Some((k, reason)) = failed_at {
-            // Shard k already aborted the transaction itself. Earlier
-            // shards are parked in Committing; later shards never started.
-            for (i, gtm) in guards.iter_mut().enumerate() {
-                let fx = match i.cmp(&k) {
-                    std::cmp::Ordering::Less => gtm.commit_abort(self.id, reason, now)?,
-                    std::cmp::Ordering::Equal => continue,
-                    std::cmp::Ordering::Greater => gtm.abort(self.id, now)?,
-                };
-                self.front.deposit(&fx);
+        if let Some(reason) = failed {
+            // Shard k = batches.len() already aborted the transaction
+            // itself. Earlier shards are parked in Committing and unwind;
+            // later shards never started.
+            let k = batches.len();
+            for (gtm, batch) in guards.iter_mut().zip(batches) {
+                let round = gtm.settle(batch, Outcome::Unwound(reason), now)?;
+                front.deposit(&round.effects);
+            }
+            for gtm in guards.iter_mut().skip(k + 1) {
+                let fx = gtm.abort(self.id, now)?;
+                front.deposit(&fx);
             }
             drop(guards);
             self.close_span(SpanKind::Commit);
@@ -1407,122 +1363,86 @@ impl Session {
         // config; here the back-off is real wall time. Attempt events and
         // spans go to the home shard's tracer — the whole commit is
         // accounted there, never split across shard registries.
-        let config = self.front.inner.config.gtm;
-        let write_count = writes.len() as u32;
-        let sst = Sst::new(self.id, writes);
+        let config = front.inner.config.gtm;
+        let home = self.home.unwrap_or(shards[0]);
+        let writes = batches.iter().flat_map(|b| &b.members).flat_map(|m| m.writes.clone());
+        let sst = Sst::new(self.id, writes.collect());
         // Labeled fault seam: every shard reconciled, SST not yet
         // submitted. An injected I/O here is a transient coordinator/
-        // engine hiccup seeding the retry loop below; a crash kills the
+        // engine hiccup failing the first attempt; a crash kills the
         // process with every shard parked in `Committing` — volatile
         // state the restarted middleware never sees, so nothing of this
         // commit may survive recovery.
-        let pre_sst_io = match self.front.fault_decision(FaultSite::PreSst) {
-            FaultDecision::Proceed => false,
+        let injected = match front.fault_decision(FaultSite::PreSst) {
+            FaultDecision::Proceed => None,
             FaultDecision::Io => {
                 self.emit_home(TraceEvent::FaultInjected {
                     site: FaultSite::PreSst.label(),
                     action: "io".into(),
                 });
-                true
+                Some(PstmError::Io("injected pre-SST fault".into()))
             }
             FaultDecision::Crash | FaultDecision::Torn { .. } => {
-                self.emit_home(TraceEvent::FaultInjected {
-                    site: FaultSite::PreSst.label(),
-                    action: "crash".into(),
-                });
-                return Err(PstmError::Crashed(FaultSite::PreSst.label()));
+                return Err(front.crash_at(home, FaultSite::PreSst));
             }
         };
-        self.emit_home(TraceEvent::SstAttempt { txn: self.id, writes: write_count });
-        self.open_span(SpanKind::SstAttempt { attempt: 1 });
-        let mut sst_result = if pre_sst_io {
-            Err(PstmError::Io("injected pre-SST fault".into()))
-        } else {
-            sst.execute(&self.front.inner.db, &self.front.inner.bindings)
-        };
-        self.close_span(SpanKind::SstAttempt { attempt: 1 });
-        let mut attempts = 0;
-        while attempts < config.sst_retries && matches!(sst_result, Err(PstmError::Io(_))) {
-            attempts += 1;
-            self.front.pause_retry(config.sst_retry_delay);
-            self.emit_home(TraceEvent::SstRetry { txn: self.id, attempt: attempts });
-            self.open_span(SpanKind::SstAttempt { attempt: attempts + 1 });
-            sst_result = sst.execute(&self.front.inner.db, &self.front.inner.bindings);
-            self.close_span(SpanKind::SstAttempt { attempt: attempts + 1 });
-        }
+        let mut attempt = 1;
+        self.open_span(SpanKind::SstAttempt { attempt });
+        let flushed = flush_sst(
+            Flush::Solo(&sst),
+            &front.inner.db,
+            &front.inner.bindings,
+            config.sst_retries,
+            injected,
+            |event| {
+                if let TraceEvent::SstRetry { attempt: retry, .. } = event {
+                    self.close_span(SpanKind::SstAttempt { attempt });
+                    front.pause_retry(config.sst_retry_delay);
+                    attempt = retry + 1;
+                    self.emit_home(event);
+                    self.open_span(SpanKind::SstAttempt { attempt });
+                } else {
+                    self.emit_home(event);
+                }
+            },
+        );
+        self.close_span(SpanKind::SstAttempt { attempt });
 
         // Phase three: settle every shard's bookkeeping, back under the
         // shard mutexes (the parked transaction is ours alone, but
-        // finish/abort mutate shared GTM state).
+        // settlement mutates shared GTM state).
         let mut guards: Vec<MutexGuard<'_, Gtm>> = {
             let _adm = prof::PhaseTimer::start(CommitPhase::Admission);
-            self.front.lock_shards_ascending(shards)
+            front.lock_shards_ascending(shards)
         };
-        let settled_at = self.front.now();
-        let reason = match sst_result {
-            Ok(()) => {
-                if !sst.is_empty() {
-                    self.emit_home(TraceEvent::SstApplied { txn: self.id });
-                }
-                // Labeled fault seam: the fused SST is durable but no
-                // shard has learned the outcome — the window where the
-                // commit decision lives only in the log. A crash here
-                // means the client sees "crashed" yet after recovery the
-                // write set must be visible exactly once (recovery
-                // invariant 2's hardest case).
-                match self.front.fault_decision(FaultSite::PreFinish) {
-                    FaultDecision::Proceed => {}
-                    _ => {
-                        self.emit_home(TraceEvent::FaultInjected {
-                            site: FaultSite::PreFinish.label(),
-                            action: "crash".into(),
-                        });
-                        return Err(PstmError::Crashed(FaultSite::PreFinish.label()));
-                    }
-                }
-                for gtm in &mut guards {
-                    let fx = gtm.commit_finish(self.id, settled_at)?;
-                    self.front.deposit(&fx);
-                }
-                drop(guards);
-                self.close_span(SpanKind::Commit);
-                self.close_span(SpanKind::Session);
-                return Ok(CommitResult::Committed);
+        let settled_at = front.now();
+        // Labeled fault seam: the fused SST is durable but no shard has
+        // learned the outcome — the window where the commit decision
+        // lives only in the log. A crash here means the client sees
+        // "crashed" yet after recovery the write set must be visible
+        // exactly once (recovery invariant 2's hardest case).
+        if flushed.is_ok() && front.fault_decision(FaultSite::PreFinish) != FaultDecision::Proceed {
+            return Err(front.crash_at(home, FaultSite::PreFinish));
+        }
+        // A crashed flush propagates out of the first settle: the process
+        // is dead, so the shards are deliberately NOT settled — their
+        // parked state perishes with it. The guards unlock on return; the
+        // caller must discard this front-end and recover the engine.
+        let mut result = CommitResult::Committed;
+        for (gtm, batch) in guards.iter_mut().zip(batches) {
+            let mut round = gtm.settle(batch, Outcome::Flushed(flushed.clone()), settled_at)?;
+            front.deposit(&round.effects);
+            if let Some((_, fate)) = round.settled.pop() {
+                result = fate;
             }
-            Err(PstmError::ConstraintViolation { .. }) | Err(PstmError::TypeMismatch { .. }) => {
-                AbortReason::Constraint
-            }
-            Err(PstmError::Io(_)) => AbortReason::SstFailure,
-            Err(e @ PstmError::Crashed(_)) => {
-                // A simulated crash mid-SST: the process is dead, so the
-                // shards are deliberately NOT settled — their volatile
-                // state (transactions parked in Committing) perishes with
-                // it. The guards unlock on return; the caller must
-                // discard this front-end and recover the engine.
-                drop(guards);
-                return Err(e);
-            }
-            Err(e) => {
-                // Unexpected engine failure: unpark every shard before
-                // propagating, so nothing strands in Committing.
-                for gtm in &mut guards {
-                    let fx = gtm.commit_abort(self.id, AbortReason::SstFailure, settled_at)?;
-                    self.front.deposit(&fx);
-                }
-                drop(guards);
-                self.close_span(SpanKind::Commit);
-                self.close_session_aborted();
-                return Err(e);
-            }
-        };
-        for gtm in &mut guards {
-            let fx = gtm.commit_abort(self.id, reason, settled_at)?;
-            self.front.deposit(&fx);
         }
         drop(guards);
         self.close_span(SpanKind::Commit);
-        self.close_session_aborted();
-        Ok(CommitResult::Aborted(reason))
+        match result {
+            CommitResult::Committed => self.close_span(SpanKind::Session),
+            CommitResult::Aborted(_) => self.close_session_aborted(),
+        }
+        Ok(result)
     }
 
     /// Aborts the session on every shard it has touched.

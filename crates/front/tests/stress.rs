@@ -4,7 +4,7 @@
 
 use pstm_core::gtm::CommitResult;
 use pstm_front::{FrontConfig, SessionOutcome, ShardedFront};
-use pstm_types::{AbortReason, ScalarOp, Value};
+use pstm_types::{AbortReason, FailSstApplies, ScalarOp, Value};
 use pstm_workload::counter_world;
 
 const OBJECTS: usize = 8;
@@ -225,7 +225,7 @@ fn cross_shard_commit_survives_transient_sst_faults_and_aborts_on_persistent_one
     let mut s1 = front.session();
     s1.execute(a, ScalarOp::Sub(Value::Int(1))).unwrap();
     s1.execute(b, ScalarOp::Sub(Value::Int(1))).unwrap();
-    world.db.inject_write_set_faults(2);
+    world.db.set_fault_hook(FailSstApplies::first(2));
     assert_eq!(s1.commit().unwrap(), CommitResult::Committed);
     assert_eq!(front.resource_value(a).unwrap(), Value::Int(99));
     assert_eq!(front.resource_value(b).unwrap(), Value::Int(99));
@@ -234,11 +234,11 @@ fn cross_shard_commit_survives_transient_sst_faults_and_aborts_on_persistent_one
     let mut s2 = front.session();
     s2.execute(a, ScalarOp::Sub(Value::Int(1))).unwrap();
     s2.execute(b, ScalarOp::Sub(Value::Int(1))).unwrap();
-    world.db.inject_write_set_faults(5);
+    world.db.set_fault_hook(FailSstApplies::first(5));
     assert_eq!(s2.commit().unwrap(), CommitResult::Aborted(AbortReason::SstFailure));
     assert_eq!(front.resource_value(a).unwrap(), Value::Int(99));
     assert_eq!(front.resource_value(b).unwrap(), Value::Int(99));
-    world.db.inject_write_set_faults(0);
+    world.db.clear_fault_hook();
 
     front.check_invariants().unwrap();
     front.verify_serializable().unwrap();

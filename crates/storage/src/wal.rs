@@ -140,6 +140,8 @@ pub struct Wal {
     /// Reused frame-assembly buffer: appends in steady state allocate
     /// only the serialized payload, not a fresh frame per record.
     scratch: Vec<u8>,
+    /// Reused `(Lsn, frame bytes)` of the last append's records.
+    frames: Vec<(Lsn, u64)>,
     tracer: Tracer,
     /// Fault seam consulted on every append (see `pstm_types::fault`);
     /// `None` outside chaos runs.
@@ -167,25 +169,51 @@ impl Wal {
         self.hook = hook;
     }
 
-    /// Appends a record, returning its LSN.
-    ///
-    /// This is the only sanctioned path that grows the log device (the
-    /// `wal-seam` lint in `pstm-check` enforces it), which makes it the
-    /// natural [`FaultSite::WalAppend`] seam: an injected `Io` or `Crash`
-    /// kills the simulated process before any byte lands, and
-    /// `Torn { keep }` writes only a prefix of the frame first — the torn
-    /// page write recovery must then discard.
+    /// Appends a record, returning its LSN — a one-record
+    /// [`Wal::append_batch`] that allocates nothing per record.
     pub fn append(&mut self, rec: &LogRecord) -> PstmResult<Lsn> {
+        self.append_frames(std::slice::from_ref(rec))?;
+        Ok(self.frames[0].0)
+    }
+
+    /// Appends a group of records as **one framed flush**: every frame is
+    /// assembled in the scratch buffer and the log device grows by a
+    /// single contiguous write, amortizing the flush cost the group-commit
+    /// layer exists to save. Each record keeps its own frame and `Lsn`, so
+    /// readers and recovery are oblivious to grouping.
+    // pstm-lockgraph: flush-point
+    pub fn append_batch(&mut self, recs: &[LogRecord]) -> PstmResult<Vec<Lsn>> {
+        self.append_frames(recs)?;
+        Ok(self.frames.iter().map(|(lsn, _)| *lsn).collect())
+    }
+
+    /// The one durable-write path behind [`Wal::append`] and
+    /// [`Wal::append_batch`] (the `wal-seam` lint in `pstm-check` enforces
+    /// it), which makes it the [`FaultSite::WalAppend`] seam. The seam is
+    /// consulted **once per call** — the group is one device write. An
+    /// injected `Io` or `Crash` kills the simulated process before any
+    /// byte lands; `Torn { keep }` writes only a prefix of the group first
+    /// (clamped so at least the final frame is torn): leading frames
+    /// survive intact and recovery's stop-at-first-invalid policy discards
+    /// exactly the torn suffix. On success `self.frames` holds each
+    /// record's `(Lsn, frame bytes)`.
+    fn append_frames(&mut self, recs: &[LogRecord]) -> PstmResult<()> {
         let _phase = pstm_obs::prof::PhaseTimer::start(pstm_obs::prof::CommitPhase::WalAppend);
-        let lsn = Lsn(self.buf.len() as u64);
+        self.frames.clear();
+        if recs.is_empty() {
+            return Ok(());
+        }
+        let base = self.buf.len() as u64;
         self.scratch.clear();
-        let frame_bytes = frame_into(rec, &mut self.scratch)?;
+        for rec in recs {
+            let lsn = Lsn(base + self.scratch.len() as u64);
+            let bytes = frame_into(rec, &mut self.scratch)?;
+            self.frames.push((lsn, bytes));
+        }
         if let Some(hook) = self.hook.as_ref() {
             match hook.decide(FaultSite::WalAppend) {
                 FaultDecision::Proceed => {}
                 FaultDecision::Torn { keep } => {
-                    // Clamp so the frame is genuinely torn: at least the
-                    // final byte is lost and recovery sees a torn tail.
                     let keep = (keep as usize).min(self.scratch.len() - 1);
                     self.buf.extend_from_slice(&self.scratch[..keep]);
                     self.tracer.emit_unclocked(TraceEvent::FaultInjected {
@@ -207,66 +235,13 @@ impl Wal {
             }
         }
         self.buf.extend_from_slice(&self.scratch);
-        self.appended += 1;
-        self.tracer.emit_unclocked(TraceEvent::WalFlush { lsn: lsn.0, bytes: frame_bytes });
-        Ok(lsn)
-    }
-
-    /// Appends a group of records as **one framed flush**: every frame is
-    /// assembled in the scratch buffer and the log device grows by a
-    /// single contiguous write, amortizing the flush cost the group-commit
-    /// layer exists to save. Each record keeps its own frame and `Lsn`, so
-    /// readers and recovery are oblivious to grouping.
-    ///
-    /// The fault seam is consulted **once per group** — the group is one
-    /// device write. `Torn { keep }` keeps a prefix of the whole group
-    /// (clamped so at least the final frame is torn): leading frames
-    /// survive intact, the tear is confined to the tail, and recovery's
-    /// stop-at-first-invalid policy discards exactly the torn suffix. An
-    /// `Io`/`Crash` decision lands nothing, as in [`Wal::append`].
-    // pstm-lockgraph: flush-point
-    pub fn append_batch(&mut self, recs: &[LogRecord]) -> PstmResult<Vec<Lsn>> {
-        let _phase = pstm_obs::prof::PhaseTimer::start(pstm_obs::prof::CommitPhase::WalAppend);
-        if recs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let base = self.buf.len() as u64;
-        let mut lsns = Vec::with_capacity(recs.len());
-        let mut frame_bytes = Vec::with_capacity(recs.len());
-        self.scratch.clear();
-        for rec in recs {
-            lsns.push(Lsn(base + self.scratch.len() as u64));
-            frame_bytes.push(frame_into(rec, &mut self.scratch)?);
-        }
-        if let Some(hook) = self.hook.as_ref() {
-            match hook.decide(FaultSite::WalAppend) {
-                FaultDecision::Proceed => {}
-                FaultDecision::Torn { keep } => {
-                    let keep = (keep as usize).min(self.scratch.len() - 1);
-                    self.buf.extend_from_slice(&self.scratch[..keep]);
-                    self.tracer.emit_unclocked(TraceEvent::FaultInjected {
-                        site: FaultSite::WalAppend.label(),
-                        action: "torn".into(),
-                    });
-                    return Err(PstmError::Crashed(FaultSite::WalAppend.label()));
-                }
-                FaultDecision::Io | FaultDecision::Crash => {
-                    self.tracer.emit_unclocked(TraceEvent::FaultInjected {
-                        site: FaultSite::WalAppend.label(),
-                        action: "crash".into(),
-                    });
-                    return Err(PstmError::Crashed(FaultSite::WalAppend.label()));
-                }
-            }
-        }
-        self.buf.extend_from_slice(&self.scratch);
         self.appended += recs.len() as u64;
         // One WalFlush per record: replayed counters must not depend on
         // how appends were grouped.
-        for (lsn, bytes) in lsns.iter().zip(&frame_bytes) {
+        for (lsn, bytes) in &self.frames {
             self.tracer.emit_unclocked(TraceEvent::WalFlush { lsn: lsn.0, bytes: *bytes });
         }
-        Ok(lsns)
+        Ok(())
     }
 
     /// Size of the log in bytes.

@@ -13,6 +13,7 @@
 //! an `Option<Arc<dyn FaultHook>>` checked per labeled point.
 
 use std::fmt;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 /// A labeled point in the commit/SST/WAL path where a fault can fire.
@@ -29,27 +30,28 @@ pub enum FaultSite {
     /// At the top of `Database::apply_write_set` — the engine-side entry
     /// of an SST attempt, before any sub-transaction work begins.
     SstApply,
-    /// At the start of `Gtm::commit_local` on the given shard, before any
-    /// resource is moved from `pending` to `committing`.
+    /// At the start of one transaction's reconciliation in `Gtm::prepare`
+    /// on the given shard, before any resource is moved from `pending` to
+    /// `committing`.
     CommitLocal {
         /// The shard whose manager is committing (0 for single-manager
         /// setups).
         shard: u32,
     },
     /// Immediately before one resource's reconciliation (eq. 1 / eq. 2)
-    /// inside `commit_local` — the paper's "link drops mid-reconcile"
+    /// inside `Gtm::prepare` — the paper's "link drops mid-reconcile"
     /// scenario.
     Reconcile {
         /// The shard whose manager is reconciling.
         shard: u32,
     },
-    /// In the front-end's phased cross-shard commit: every shard has
-    /// reconciled (`commit_local` succeeded) but the fused SST has not
+    /// In a coordinated commit: every shard has reconciled
+    /// (`Gtm::prepare` parked the transaction) but the fused SST has not
     /// been submitted to the engine yet.
     PreSst,
-    /// In the phased cross-shard commit: the fused SST is durable but no
-    /// shard has been told to `commit_finish` yet — the window where a
-    /// crash leaves the decision only in the log.
+    /// In a coordinated commit: the fused SST is durable but no shard has
+    /// been told to `Gtm::settle` yet — the window where a crash leaves
+    /// the decision only in the log.
     PreFinish,
 }
 
@@ -143,6 +145,37 @@ pub trait FaultHook: Send + Sync {
 /// so site arrivals are counted globally across the stack.
 pub type SharedFaultHook = Arc<dyn FaultHook>;
 
+/// A hook that fails the first `n` arrivals at [`FaultSite::SstApply`]
+/// with a transient I/O error and proceeds everywhere else — the plain
+/// way to drive the SST retry and `SstFailure` paths without a fault plan.
+#[derive(Debug)]
+pub struct FailSstApplies {
+    left: AtomicU32,
+}
+
+impl FailSstApplies {
+    /// Fails the next `n` SST applies.
+    #[must_use]
+    pub fn first(n: u32) -> Arc<Self> {
+        Arc::new(FailSstApplies { left: AtomicU32::new(n) })
+    }
+}
+
+impl FaultHook for FailSstApplies {
+    fn decide(&self, site: FaultSite) -> FaultDecision {
+        let fail = site == FaultSite::SstApply
+            && self
+                .left
+                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+                .is_ok();
+        if fail {
+            FaultDecision::Io
+        } else {
+            FaultDecision::Proceed
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,6 +200,15 @@ mod tests {
     fn decision_names() {
         assert_eq!(FaultDecision::Proceed.name(), "proceed");
         assert_eq!(FaultDecision::Torn { keep: 5 }.name(), "torn");
+    }
+
+    #[test]
+    fn fail_sst_applies_fails_only_the_first_n_sst_applies() {
+        let hook = FailSstApplies::first(2);
+        assert_eq!(hook.decide(FaultSite::WalAppend), FaultDecision::Proceed);
+        assert_eq!(hook.decide(FaultSite::SstApply), FaultDecision::Io);
+        assert_eq!(hook.decide(FaultSite::SstApply), FaultDecision::Io);
+        assert_eq!(hook.decide(FaultSite::SstApply), FaultDecision::Proceed);
     }
 
     #[test]

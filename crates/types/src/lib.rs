@@ -30,7 +30,7 @@ pub mod value;
 
 pub use compat::{CompatMatrix, OpClass};
 pub use error::{PstmError, PstmResult};
-pub use fault::{FaultDecision, FaultHook, FaultSite, SharedFaultHook};
+pub use fault::{FailSstApplies, FaultDecision, FaultHook, FaultSite, SharedFaultHook};
 pub use ids::{MemberId, ObjectId, ResourceId, TxnId, TxnIdAllocator};
 pub use op::ScalarOp;
 pub use sched::{AbortReason, ExecOutcome, StepEffects};
